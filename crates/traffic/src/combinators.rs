@@ -21,6 +21,9 @@
 use crate::approx;
 use crate::envelope::{min_interval_for, Envelope, SharedEnvelope};
 use crate::units::{Bits, BitsPerSec, Seconds};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// FIFO output transform: the traffic leaving a FIFO server whose delay is
 /// at most `delay` is bounded by `A(I + delay)`.
@@ -67,24 +70,49 @@ impl Envelope for Delayed {
     }
 
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
-        let mut inner_points = Vec::new();
-        self.inner
-            .breakpoints(horizon + self.delay, &mut inner_points);
-        out.extend(
-            inner_points
-                .into_iter()
-                .map(|p| p.saturating_sub(self.delay))
-                .filter(|p| *p > Seconds::ZERO),
-        );
+        // Shift the inner points in place: a hop chain nests one `Delayed`
+        // per hop, and a scratch list per level would allocate per hop.
+        let start = out.len();
+        self.inner.breakpoints(horizon + self.delay, out);
+        let mut kept = start;
+        for idx in start..out.len() {
+            let p = out[idx].saturating_sub(self.delay);
+            if p > Seconds::ZERO {
+                out[kept] = p;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 }
 
 /// Rate cap: `min(A(I), cap · I)` — what the traffic can look like after
 /// any medium that physically cannot deliver faster than `cap`.
-#[derive(Debug, Clone)]
 pub struct RateCapped {
     inner: SharedEnvelope,
     cap: BitsPerSec,
+    /// Crossings already bisected, keyed by the bit patterns of their
+    /// bracket `(a, b)`. One instance is enumerated at many horizons
+    /// (once per downstream analysis that reaches it) and most brackets
+    /// recur across those calls; the bisection is a pure function of the
+    /// bracket, so a hit returns exactly what it would recompute.
+    crossings: Mutex<HashMap<(u64, u64), Seconds>>,
+}
+
+impl fmt::Debug for RateCapped {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RateCapped")
+            .field("inner", &self.inner)
+            .field("cap", &self.cap)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A clone starts with an empty crossing memo.
+impl Clone for RateCapped {
+    fn clone(&self) -> Self {
+        Self::new(Arc::clone(&self.inner), self.cap)
+    }
 }
 
 impl RateCapped {
@@ -96,7 +124,36 @@ impl RateCapped {
     #[must_use]
     pub fn new(inner: SharedEnvelope, cap: BitsPerSec) -> Self {
         assert!(cap.value() > 0.0, "cap must be positive");
-        Self { inner, cap }
+        Self {
+            inner,
+            cap,
+            crossings: Mutex::default(),
+        }
+    }
+
+    /// The crossing in `[a, b]`, from the memo or bisected and memoized.
+    fn crossing(
+        &self,
+        a: Seconds,
+        b: Seconds,
+        above_a: bool,
+        above: impl Fn(Seconds) -> bool,
+    ) -> Seconds {
+        let key = (a.value().to_bits(), b.value().to_bits());
+        if let Some(&t) = self.memo().get(&key) {
+            return t;
+        }
+        let t = bisect(a, b, above_a, above);
+        self.memo().insert(key, t);
+        t
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<(u64, u64), Seconds>> {
+        // The guarded map is never left half-updated, so a panic in
+        // another holder cannot have corrupted it.
+        self.crossings
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -129,32 +186,22 @@ impl Envelope for RateCapped {
     }
 
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
-        self.inner.breakpoints(horizon, out);
         // The cap line `cap·I` may cross A between inner breakpoints; a
         // crossing is where min() switches branch (slope change). Locate it
         // by inverting A along the cap line via bisection on the sign of
-        // A(I) − cap·I, bracketed by inner breakpoints.
-        let mut pts = Vec::new();
-        self.inner.breakpoints(horizon, &mut pts);
-        pts.push(Seconds::ZERO);
-        pts.push(horizon);
-        pts.sort_by(|a, b| a.total_cmp(b));
+        // A(I) − cap·I, bracketed by inner breakpoints. The inner envelope
+        // is enumerated once: its points are both reported and reused as
+        // the brackets.
+        let start = out.len();
+        self.inner.breakpoints(horizon, out);
+        let pts = brackets(&out[start..], horizon);
         let above = |i: Seconds| self.inner.arrivals(i) > self.cap * i;
-        for w in pts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if above(a) != above(b) {
-                let (mut lo, mut hi) = (a.value(), b.value());
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if above(Seconds::new(mid)) == above(a) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                out.push(Seconds::new(hi));
-            }
-        }
+        push_crossings(
+            &pts,
+            above,
+            |a, b, above_a| self.crossing(a, b, above_a, above),
+            out,
+        );
     }
 }
 
@@ -604,37 +651,79 @@ impl Envelope for MinOf {
     }
 
     fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+        // Branch-switch points of the min are also slope changes; both
+        // operands are enumerated once and their points reused as brackets.
+        let start = out.len();
         self.a.breakpoints(horizon, out);
         self.b.breakpoints(horizon, out);
-        // Branch-switch points of the min are also slope changes.
-        let mut pts = Vec::new();
-        self.a.breakpoints(horizon, &mut pts);
-        self.b.breakpoints(horizon, &mut pts);
-        pts.push(Seconds::ZERO);
-        pts.push(horizon);
-        pts.sort_by(|x, y| x.total_cmp(y));
+        let pts = brackets(&out[start..], horizon);
         let a_below = |i: Seconds| self.a.arrivals(i) < self.b.arrivals(i);
-        for w in pts.windows(2) {
-            if a_below(w[0]) != a_below(w[1]) {
-                let (mut lo, mut hi) = (w[0].value(), w[1].value());
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if a_below(Seconds::new(mid)) == a_below(w[0]) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                out.push(Seconds::new(hi));
-            }
+        push_crossings(
+            &pts,
+            a_below,
+            |a, b, below_a| bisect(a, b, below_a, a_below),
+            out,
+        );
+    }
+}
+
+/// The sorted bracket list for a crossing search: `inner` (an operand's
+/// reported breakpoints) plus the interval ends `0` and `horizon`.
+fn brackets(inner: &[Seconds], horizon: Seconds) -> Vec<Seconds> {
+    let mut pts = Vec::with_capacity(inner.len() + 2);
+    pts.extend_from_slice(inner);
+    pts.push(Seconds::ZERO);
+    pts.push(horizon);
+    pts.sort_by(Seconds::total_cmp);
+    pts
+}
+
+/// Appends, for every pair of adjacent `pts` (sorted) on which `side`
+/// differs, the point where it switches, as located by `solve(a, b,
+/// side(a))`.
+///
+/// `side` is evaluated once per bracket point: each point's side serves
+/// both windows it bounds.
+fn push_crossings(
+    pts: &[Seconds],
+    side: impl Fn(Seconds) -> bool,
+    mut solve: impl FnMut(Seconds, Seconds, bool) -> Seconds,
+    out: &mut Vec<Seconds>,
+) {
+    let mut points = pts.iter().copied();
+    let Some(mut a) = points.next() else {
+        return;
+    };
+    let mut side_a = side(a);
+    for b in points {
+        let side_b = side(b);
+        if side_a != side_b {
+            out.push(solve(a, b, side_a));
+        }
+        (a, side_a) = (b, side_b);
+    }
+}
+
+/// The switch point of `side` in `[a, b]`, given `side(a) == side_a`: the
+/// upper end of the bracket after 60 halvings.
+fn bisect(a: Seconds, b: Seconds, side_a: bool, side: impl Fn(Seconds) -> bool) -> Seconds {
+    let (mut lo, mut hi) = (a.value(), b.value());
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if side(Seconds::new(mid)) == side_a {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
+    Seconds::new(hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{ConstantRateEnvelope, LeakyBucketEnvelope, PeriodicEnvelope};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn lb(sigma: f64, rho: f64) -> SharedEnvelope {
@@ -802,6 +891,83 @@ mod tests {
         // A_in(1.1) = 1000 + 110 = 1110; capped: min(1110, 5000) = 1110;
         // ceil(1110/500) = 3 frames -> 1590.
         assert_eq!(a.value(), 1590.0);
+    }
+
+    /// A leaky bucket that counts how often its breakpoints are enumerated.
+    #[derive(Debug)]
+    struct CountingRoot {
+        inner: LeakyBucketEnvelope,
+        enumerations: AtomicUsize,
+    }
+
+    impl CountingRoot {
+        fn new() -> Arc<Self> {
+            let inner = LeakyBucketEnvelope::new(Bits::new(4000.0), BitsPerSec::new(1.0e5))
+                .unwrap()
+                .with_peak(BitsPerSec::new(1.0e6))
+                .unwrap();
+            Arc::new(Self {
+                inner,
+                enumerations: AtomicUsize::new(0),
+            })
+        }
+
+        fn enumerations(&self) -> usize {
+            self.enumerations.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Envelope for CountingRoot {
+        fn arrivals(&self, interval: Seconds) -> Bits {
+            self.inner.arrivals(interval)
+        }
+
+        fn sustained_rate(&self) -> BitsPerSec {
+            self.inner.sustained_rate()
+        }
+
+        fn peak_rate(&self) -> BitsPerSec {
+            self.inner.peak_rate()
+        }
+
+        fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+            self.enumerations.fetch_add(1, Ordering::Relaxed);
+            self.inner.breakpoints(horizon, out);
+        }
+    }
+
+    #[test]
+    fn hop_chain_enumerates_root_once() {
+        // Eight hops, each a FIFO delay behind a rate cap: one path from
+        // the top to the root, so one enumeration of the root.
+        let root = CountingRoot::new();
+        let mut chain: SharedEnvelope = root.clone();
+        for hop in 0..8 {
+            let delayed = Arc::new(Delayed::new(chain, Seconds::from_millis(1.0 + hop as f64)));
+            chain = Arc::new(RateCapped::new(
+                delayed,
+                BitsPerSec::new(5.0e5 - 2.0e4 * hop as f64),
+            ));
+        }
+        let mut pts = Vec::new();
+        chain.breakpoints(Seconds::new(0.2), &mut pts);
+        assert_eq!(root.enumerations(), 1);
+        assert!(!pts.is_empty());
+    }
+
+    #[test]
+    fn min_of_tree_enumerates_root_once_per_leaf() {
+        // Two levels of MinOf over four leaves that all reach one root.
+        let root = CountingRoot::new();
+        let leaf = |delay_ms: f64| -> SharedEnvelope {
+            Arc::new(Delayed::new(root.clone(), Seconds::from_millis(delay_ms)))
+        };
+        let left = Arc::new(MinOf::new(leaf(0.0), leaf(2.0)));
+        let right = Arc::new(MinOf::new(leaf(4.0), leaf(6.0)));
+        let tree = MinOf::new(left, right);
+        let mut pts = Vec::new();
+        tree.breakpoints(Seconds::new(0.2), &mut pts);
+        assert_eq!(root.enumerations(), 4);
     }
 }
 

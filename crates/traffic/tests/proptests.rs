@@ -2,7 +2,9 @@
 //! guaranteed-server analysis.
 
 use hetnet_traffic::analysis::{analyze_guaranteed_server, AnalysisConfig, ServerOutput};
-use hetnet_traffic::combinators::{Aggregate, Delayed, Quantized, RateCapped, Scaled};
+use hetnet_traffic::combinators::{
+    Aggregate, Delayed, MinOf, Quantized, RateCapped, Sampled, Scaled,
+};
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::models::{
     ConstantRateEnvelope, DualPeriodicEnvelope, LeakyBucketEnvelope, PeriodicEnvelope,
@@ -36,6 +38,247 @@ fn dual_periodic_strategy() -> impl Strategy<Value = DualPeriodicEnvelope> {
 
 fn interval_strategy() -> impl Strategy<Value = Seconds> {
     (0.0_f64..0.5).prop_map(Seconds::new)
+}
+
+/// Reference combinators: `Delayed`, `RateCapped` and `MinOf` with their
+/// original breakpoint enumeration, which enumerates each operand twice
+/// (once for `out`, once for the crossing brackets) and re-evaluates both
+/// window endpoints' sides, and the left side on every bisection step.
+/// Their `arrivals` are the library's.
+mod reference {
+    use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
+    use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
+
+    #[derive(Debug)]
+    pub struct Delayed {
+        pub inner: SharedEnvelope,
+        pub delay: Seconds,
+    }
+
+    impl Envelope for Delayed {
+        fn arrivals(&self, interval: Seconds) -> Bits {
+            self.inner.arrivals(interval.clamp_min_zero() + self.delay)
+        }
+
+        fn sustained_rate(&self) -> BitsPerSec {
+            self.inner.sustained_rate()
+        }
+
+        fn peak_rate(&self) -> BitsPerSec {
+            self.inner.peak_rate()
+        }
+
+        fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+            let mut inner_points = Vec::new();
+            self.inner
+                .breakpoints(horizon + self.delay, &mut inner_points);
+            out.extend(
+                inner_points
+                    .into_iter()
+                    .map(|p| p.saturating_sub(self.delay))
+                    .filter(|p| *p > Seconds::ZERO),
+            );
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct RateCapped {
+        pub inner: SharedEnvelope,
+        pub cap: BitsPerSec,
+    }
+
+    impl Envelope for RateCapped {
+        fn arrivals(&self, interval: Seconds) -> Bits {
+            let i = interval.clamp_min_zero();
+            self.inner.arrivals(i).min(self.cap * i)
+        }
+
+        fn sustained_rate(&self) -> BitsPerSec {
+            self.inner.sustained_rate().min(self.cap)
+        }
+
+        fn peak_rate(&self) -> BitsPerSec {
+            self.inner.peak_rate().min(self.cap)
+        }
+
+        fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+            self.inner.breakpoints(horizon, out);
+            let mut pts = Vec::new();
+            self.inner.breakpoints(horizon, &mut pts);
+            pts.push(Seconds::ZERO);
+            pts.push(horizon);
+            pts.sort_by(|a, b| a.total_cmp(b));
+            let above = |i: Seconds| self.inner.arrivals(i) > self.cap * i;
+            for w in pts.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                if above(a) != above(b) {
+                    let (mut lo, mut hi) = (a.value(), b.value());
+                    for _ in 0..60 {
+                        let mid = 0.5 * (lo + hi);
+                        if above(Seconds::new(mid)) == above(a) {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    out.push(Seconds::new(hi));
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct MinOf {
+        pub a: SharedEnvelope,
+        pub b: SharedEnvelope,
+    }
+
+    impl Envelope for MinOf {
+        fn arrivals(&self, interval: Seconds) -> Bits {
+            self.a.arrivals(interval).min(self.b.arrivals(interval))
+        }
+
+        fn sustained_rate(&self) -> BitsPerSec {
+            self.a.sustained_rate().min(self.b.sustained_rate())
+        }
+
+        fn peak_rate(&self) -> BitsPerSec {
+            self.a.peak_rate().min(self.b.peak_rate())
+        }
+
+        fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+            self.a.breakpoints(horizon, out);
+            self.b.breakpoints(horizon, out);
+            let mut pts = Vec::new();
+            self.a.breakpoints(horizon, &mut pts);
+            self.b.breakpoints(horizon, &mut pts);
+            pts.push(Seconds::ZERO);
+            pts.push(horizon);
+            pts.sort_by(|x, y| x.total_cmp(y));
+            let a_below = |i: Seconds| self.a.arrivals(i) < self.b.arrivals(i);
+            for w in pts.windows(2) {
+                if a_below(w[0]) != a_below(w[1]) {
+                    let (mut lo, mut hi) = (w[0].value(), w[1].value());
+                    for _ in 0..60 {
+                        let mid = 0.5 * (lo + hi);
+                        if a_below(Seconds::new(mid)) == a_below(w[0]) {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    out.push(Seconds::new(hi));
+                }
+            }
+        }
+    }
+}
+
+/// A root envelope for a hop chain: a peak-limited leaky bucket, a
+/// periodic source, or a `Sampled` flattening of a periodic source.
+fn chain_root_strategy() -> impl Strategy<Value = SharedEnvelope> {
+    (
+        0_usize..3,
+        1.0e3_f64..1.0e5, // burst / per-period bits
+        1.0_f64..20.0,    // period in ms (rate = bits / period)
+        1.1_f64..50.0,    // peak multiplier over the sustained rate
+        5.0_f64..100.0,   // Sampled flattening horizon in ms
+        0_usize..3,       // Sampled guard subdivisions
+    )
+        .prop_map(
+            |(kind, bits, p_ms, peak_mul, flat_ms, subdivisions)| -> SharedEnvelope {
+                let p = Seconds::from_millis(p_ms);
+                let rate = BitsPerSec::new(bits / p.value());
+                let periodic = || {
+                    Arc::new(PeriodicEnvelope::new(Bits::new(bits), p, rate * peak_mul).unwrap())
+                };
+                match kind {
+                    0 => Arc::new(
+                        LeakyBucketEnvelope::new(Bits::new(bits), rate)
+                            .unwrap()
+                            .with_peak(rate * peak_mul)
+                            .unwrap(),
+                    ),
+                    1 => periodic(),
+                    _ => Arc::new(Sampled::flatten(
+                        periodic(),
+                        Seconds::from_millis(flat_ms),
+                        subdivisions,
+                    )),
+                }
+            },
+        )
+}
+
+/// One level of a hop chain.
+#[derive(Clone, Copy, Debug)]
+enum ChainLayer {
+    /// A FIFO delay (ms).
+    Delay(f64),
+    /// A rate cap, as a multiple of the root's sustained rate.
+    Cap(f64),
+    /// The minimum with a leaky-bucket contract: burst as a multiple of
+    /// the root's 5-ms arrivals, rate as a multiple of its sustained rate,
+    /// and whether the contract is the first operand.
+    Contract(f64, f64, bool),
+}
+
+fn chain_layer_strategy() -> impl Strategy<Value = ChainLayer> {
+    (
+        0_usize..3,
+        0.0_f64..10.0,
+        1.05_f64..20.0,
+        0.0_f64..2.0,
+        proptest::bool::ANY,
+    )
+        .prop_map(|(kind, delay_ms, mul, burst_mul, first)| match kind {
+            0 => ChainLayer::Delay(delay_ms),
+            1 => ChainLayer::Cap(mul),
+            _ => ChainLayer::Contract(burst_mul, mul.min(3.0), first),
+        })
+}
+
+/// Builds `layers` over `root` twice: from the library's combinators and
+/// from the reference ones.
+fn build_chains(root: &SharedEnvelope, layers: &[ChainLayer]) -> (SharedEnvelope, SharedEnvelope) {
+    let rho = root.sustained_rate();
+    let (mut lib, mut refr) = (Arc::clone(root), Arc::clone(root));
+    for &layer in layers {
+        match layer {
+            ChainLayer::Delay(ms) => {
+                let delay = Seconds::from_millis(ms);
+                lib = Arc::new(Delayed::new(lib, delay));
+                refr = Arc::new(reference::Delayed { inner: refr, delay });
+            }
+            ChainLayer::Cap(mul) => {
+                let cap = rho * mul;
+                lib = Arc::new(RateCapped::new(lib, cap));
+                refr = Arc::new(reference::RateCapped { inner: refr, cap });
+            }
+            ChainLayer::Contract(burst_mul, rate_mul, first) => {
+                let burst = root.arrivals(Seconds::from_millis(5.0)) * burst_mul + Bits::new(1.0);
+                let contract: SharedEnvelope =
+                    Arc::new(LeakyBucketEnvelope::new(burst, rho * rate_mul).unwrap());
+                let c = Arc::clone(&contract);
+                if first {
+                    lib = Arc::new(MinOf::new(contract, lib));
+                    refr = Arc::new(reference::MinOf { a: c, b: refr });
+                } else {
+                    lib = Arc::new(MinOf::new(lib, contract));
+                    refr = Arc::new(reference::MinOf { a: refr, b: c });
+                }
+            }
+        }
+    }
+    (lib, refr)
+}
+
+/// `env`'s breakpoints within `horizon`, sorted, as raw bit patterns.
+fn sorted_breakpoint_bits(env: &SharedEnvelope, horizon: Seconds) -> Vec<u64> {
+    let mut pts = Vec::new();
+    env.breakpoints(horizon, &mut pts);
+    pts.sort_by(Seconds::total_cmp);
+    pts.iter().map(|p| p.value().to_bits()).collect()
 }
 
 proptest! {
@@ -187,6 +430,29 @@ proptest! {
             let a = chained.arrivals(i);
             prop_assert!(a >= prev - Bits::new(1e-6), "k={k}");
             prev = a;
+        }
+    }
+
+    /// Hop chains of depth 1–5 enumerate exactly the reference's
+    /// breakpoints, bit for bit, on repeated calls at several horizons.
+    #[test]
+    fn hop_chain_breakpoints_match_reference_bits(
+        root in chain_root_strategy(),
+        layers in proptest::collection::vec(chain_layer_strategy(), 1..6),
+        h1_ms in 1.0_f64..300.0,
+        h2_ms in 1.0_f64..300.0,
+    ) {
+        let (lib, refr) = build_chains(&root, &layers);
+        for h_ms in [h1_ms, h2_ms, h1_ms] {
+            let h = Seconds::from_millis(h_ms);
+            prop_assert_eq!(
+                sorted_breakpoint_bits(&lib, h),
+                sorted_breakpoint_bits(&refr, h),
+                "root {:?}, layers {:?}, horizon {} ms",
+                root,
+                layers,
+                h_ms
+            );
         }
     }
 
