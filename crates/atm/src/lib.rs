@@ -36,6 +36,6 @@ pub use affine::{fifo_bounds, AffineBound, FifoBounds};
 pub use error::AtmError;
 pub use link::LinkConfig;
 pub use mux::{analyze_mux, per_flow_output, MuxReport};
-pub use sched::{ClassedFlow, SchedReport, Scheduler, SchedulerAnalysis};
+pub use sched::{ClassedFlow, PortClass, SchedReport, Scheduler, SchedulerAnalysis};
 pub use switch::{OutputPortReport, SwitchConfig};
 pub use topology::{Backbone, LinkId, SwitchId};

@@ -26,11 +26,17 @@
 //!   non-preemptable cell, dominating the Tabatabaee–Le Boudec
 //!   (arXiv:2106.01034) strict service curve.
 //!
-//! Per class, the analysis aggregates the member envelopes and runs the
-//! generic guaranteed-server busy-period search against the class's
-//! service curve; the port-level report takes the worst class delay and
-//! busy period and sums the class backlogs. FIFO degenerates to one
-//! class-blind aggregate against the constant-rate curve `C·t`.
+//! Every discipline is a *class decomposition* plus one shared combine
+//! step. [`SchedulerAnalysis::decompose`] partitions a port's flows into
+//! [`PortClass`]es — members in flow order plus the class's rate-latency
+//! curve — and [`analyze_class`] runs the generic guaranteed-server
+//! busy-period search of one class's aggregate against its curve;
+//! [`combine`] then takes the worst class delay and busy period and
+//! sums the class backlogs. FIFO is one class-blind class holding every
+//! flow against the constant-rate curve `C·t`. A class's analysis
+//! depends only on its members and its curve, so a caller may cache it
+//! per class: a flow joining one class leaves the other classes'
+//! analyses valid whenever their curves are unchanged.
 //!
 //! # Contract
 //!
@@ -43,7 +49,7 @@
 use crate::cell::CELL_BITS;
 use crate::error::AtmError;
 use crate::link::LinkConfig;
-use hetnet_traffic::analysis::{analyze_guaranteed_server, AnalysisConfig};
+use hetnet_traffic::analysis::{analyze_guaranteed_server, AnalysisConfig, ServerAnalysis};
 use hetnet_traffic::combinators::{Aggregate, Delayed, RateCapped};
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::service::RateLatencyService;
@@ -98,6 +104,20 @@ impl SchedReport {
     }
 }
 
+/// One class of a port's flow set as the scheduler serves it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PortClass {
+    /// The traffic class, or `None` for a class-blind discipline (FIFO),
+    /// whose single class holds every flow.
+    pub class: Option<u8>,
+    /// Indices of the member flows in the port's flow set, ascending
+    /// (floating-point addition is not associative, so the aggregate is
+    /// summed in exactly this order).
+    pub members: Vec<usize>,
+    /// The rate-latency curve the class is guaranteed.
+    pub service: RateLatencyService,
+}
+
 /// Worst-case analysis of one output-port scheduling discipline.
 ///
 /// Implementations must be deterministic: the same flow set (same
@@ -108,7 +128,21 @@ pub trait SchedulerAnalysis: fmt::Debug + Send + Sync {
     /// Stable lower-case name for traces, JSON, and bench sections.
     fn name(&self) -> &'static str;
 
-    /// Analyzes the scheduling of `flows` onto `link`.
+    /// Partitions a port's flows, given by their traffic classes in flow
+    /// order, into the classes the discipline serves, in ascending class
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`AtmError::InvalidConfig`] for an invalid link,
+    /// [`AtmError::EmptyFlowSet`] for an empty `classes`, and
+    /// [`AtmError::InvalidConfig`] for a class without a configured
+    /// weight, checked in that order.
+    fn decompose(&self, classes: &[u8], link: &LinkConfig) -> Result<Vec<PortClass>, AtmError>;
+
+    /// Analyzes the scheduling of `flows` onto `link`: the class
+    /// decomposition, one [`analyze_class`] per class in order, and
+    /// [`combine`].
     ///
     /// # Errors
     ///
@@ -116,13 +150,23 @@ pub trait SchedulerAnalysis: fmt::Debug + Send + Sync {
     /// has no well-defined busy period — callers must not ask),
     /// [`AtmError::InvalidConfig`] for an invalid link or a flow class
     /// without a configured weight, and [`AtmError::Analysis`] when a
-    /// class is unstable or the busy-period search fails.
+    /// class is unstable or the busy-period search fails (the first such
+    /// class in class order).
     fn analyze(
         &self,
         flows: &[ClassedFlow],
         link: &LinkConfig,
         cfg: &AnalysisConfig,
-    ) -> Result<SchedReport, AtmError>;
+    ) -> Result<SchedReport, AtmError> {
+        let ids: Vec<u8> = flows.iter().map(|f| f.class).collect();
+        let classes = self.decompose(&ids, link)?;
+        let mut reports = Vec::with_capacity(classes.len());
+        for c in &classes {
+            let members = c.members.iter().map(|&i| Arc::clone(&flows[i].envelope));
+            reports.push(analyze_class(members.collect(), &c.service, cfg)?);
+        }
+        Ok(combine(&classes, &reports))
+    }
 
     /// The envelope of one flow after traversing the port, given the
     /// queueing delay `delay` its class is bounded by: the input
@@ -141,6 +185,74 @@ pub trait SchedulerAnalysis: fmt::Debug + Send + Sync {
     }
 }
 
+/// The busy-period analysis of one class: the aggregate of `members`
+/// (summed in the given order) against the class's curve.
+///
+/// # Errors
+///
+/// [`AtmError::Analysis`] when the class is unstable or its busy-period
+/// search fails.
+pub fn analyze_class(
+    members: Vec<SharedEnvelope>,
+    service: &RateLatencyService,
+    cfg: &AnalysisConfig,
+) -> Result<ServerAnalysis, AtmError> {
+    Ok(analyze_guaranteed_server(
+        &Aggregate::new(members),
+        service,
+        cfg,
+    )?)
+}
+
+/// The port-level report of a decomposition whose classes were analyzed
+/// into `reports` (one per class, same order). A class-blind class is
+/// reported verbatim; per-class disciplines take the worst class delay
+/// and busy period, sum the class backlogs, and list the class delays.
+///
+/// # Panics
+///
+/// Panics on a class-blind decomposition given no report.
+#[must_use]
+pub fn combine(classes: &[PortClass], reports: &[ServerAnalysis]) -> SchedReport {
+    if let [PortClass { class: None, .. }] = classes {
+        let r = &reports[0];
+        return SchedReport {
+            busy_period: r.busy_interval,
+            delay_bound: r.delay_bound,
+            backlog_bound: r.backlog_bound,
+            class_delays: Vec::new(),
+        };
+    }
+    let mut busy = Seconds::ZERO;
+    let mut delay = Seconds::ZERO;
+    let mut backlog = Bits::ZERO;
+    let mut class_delays = Vec::with_capacity(classes.len());
+    for (c, r) in classes.iter().zip(reports) {
+        busy = busy.max(r.busy_interval);
+        delay = delay.max(r.delay_bound);
+        backlog += r.backlog_bound;
+        if let Some(class) = c.class {
+            class_delays.push((class, r.delay_bound));
+        }
+    }
+    SchedReport {
+        busy_period: busy,
+        delay_bound: delay,
+        backlog_bound: backlog,
+        class_delays,
+    }
+}
+
+/// Validates `link` and refuses an empty flow set: the checks every
+/// decomposition starts with, in this order.
+fn check_port(classes: &[u8], link: &LinkConfig) -> Result<(), AtmError> {
+    link.validate().map_err(AtmError::InvalidConfig)?;
+    if classes.is_empty() {
+        return Err(AtmError::EmptyFlowSet);
+    }
+    Ok(())
+}
+
 /// The paper's FIFO multiplexer: one class-blind aggregate against the
 /// constant-rate service curve. Float-op identical to
 /// [`crate::mux::analyze_mux`].
@@ -152,27 +264,15 @@ impl SchedulerAnalysis for Fifo {
         "fifo"
     }
 
-    fn analyze(
-        &self,
-        flows: &[ClassedFlow],
-        link: &LinkConfig,
-        cfg: &AnalysisConfig,
-    ) -> Result<SchedReport, AtmError> {
-        link.validate().map_err(AtmError::InvalidConfig)?;
-        if flows.is_empty() {
-            return Err(AtmError::EmptyFlowSet);
-        }
-        // Exactly the ops of `analyze_mux`: aggregate in member order,
+    fn decompose(&self, classes: &[u8], link: &LinkConfig) -> Result<Vec<PortClass>, AtmError> {
+        check_port(classes, link)?;
+        // Exactly the ops of `analyze_mux`: every flow in member order,
         // constant-rate curve, one busy-period search.
-        let aggregate = Aggregate::new(flows.iter().map(|f| Arc::clone(&f.envelope)).collect());
-        let service = RateLatencyService::constant_rate(link.rate);
-        let report = analyze_guaranteed_server(&aggregate, &service, cfg)?;
-        Ok(SchedReport {
-            busy_period: report.busy_interval,
-            delay_bound: report.delay_bound,
-            backlog_bound: report.backlog_bound,
-            class_delays: Vec::new(),
-        })
+        Ok(vec![PortClass {
+            class: None,
+            members: (0..classes.len()).collect(),
+            service: RateLatencyService::constant_rate(link.rate),
+        }])
     }
 }
 
@@ -190,13 +290,8 @@ impl SchedulerAnalysis for Iwrr {
         "iwrr"
     }
 
-    fn analyze(
-        &self,
-        flows: &[ClassedFlow],
-        link: &LinkConfig,
-        cfg: &AnalysisConfig,
-    ) -> Result<SchedReport, AtmError> {
-        per_class_analysis(flows, link, cfg, &self.weights, RoundRobin::Iwrr)
+    fn decompose(&self, classes: &[u8], link: &LinkConfig) -> Result<Vec<PortClass>, AtmError> {
+        round_robin_classes(classes, link, &self.weights, RoundRobin::Iwrr)
     }
 }
 
@@ -213,13 +308,8 @@ impl SchedulerAnalysis for Drr {
         "drr"
     }
 
-    fn analyze(
-        &self,
-        flows: &[ClassedFlow],
-        link: &LinkConfig,
-        cfg: &AnalysisConfig,
-    ) -> Result<SchedReport, AtmError> {
-        per_class_analysis(flows, link, cfg, &self.quanta, RoundRobin::Drr)
+    fn decompose(&self, classes: &[u8], link: &LinkConfig) -> Result<Vec<PortClass>, AtmError> {
+        round_robin_classes(classes, link, &self.quanta, RoundRobin::Drr)
     }
 }
 
@@ -245,22 +335,19 @@ impl RoundRobin {
     }
 }
 
-/// Shared per-class rate-latency analysis for the round-robin family.
-fn per_class_analysis(
-    flows: &[ClassedFlow],
+/// Shared per-class rate-latency decomposition for the round-robin
+/// family.
+fn round_robin_classes(
+    classes: &[u8],
     link: &LinkConfig,
-    cfg: &AnalysisConfig,
     weights: &[u32],
     kind: RoundRobin,
-) -> Result<SchedReport, AtmError> {
-    link.validate().map_err(AtmError::InvalidConfig)?;
-    if flows.is_empty() {
-        return Err(AtmError::EmptyFlowSet);
-    }
+) -> Result<Vec<PortClass>, AtmError> {
+    check_port(classes, link)?;
     // Distinct classes present, in ascending class order.
-    let mut classes: Vec<u8> = flows.iter().map(|f| f.class).collect();
-    classes.sort_unstable();
-    classes.dedup();
+    let mut present: Vec<u8> = classes.to_vec();
+    present.sort_unstable();
+    present.dedup();
     let weight_of = |class: u8| -> Result<u32, AtmError> {
         match weights.get(usize::from(class)) {
             Some(&w) if w >= 1 => Ok(w),
@@ -275,40 +362,23 @@ fn per_class_analysis(
         }
     };
     let mut wsum: u64 = 0;
-    for &c in &classes {
+    for &c in &present {
         wsum += u64::from(weight_of(c)?);
     }
-    let n = classes.len();
-
-    let mut busy = Seconds::ZERO;
-    let mut delay = Seconds::ZERO;
-    let mut backlog = Bits::ZERO;
-    let mut class_delays = Vec::with_capacity(n);
-    for &c in &classes {
-        let w = weight_of(c)?;
-        // Members of this class, in flow-set order (floating-point
-        // addition is not associative; order is part of the identity).
-        let members: Vec<SharedEnvelope> = flows
-            .iter()
-            .filter(|f| f.class == c)
-            .map(|f| Arc::clone(&f.envelope))
-            .collect();
-        let rate = BitsPerSec::new(link.rate.value() * w as f64 / wsum as f64);
-        let latency = Bits::new(kind.latency_cells(w, wsum, n) * CELL_BITS) / link.rate;
-        let aggregate = Aggregate::new(members);
-        let service = RateLatencyService::new(rate, latency);
-        let report = analyze_guaranteed_server(&aggregate, &service, cfg)?;
-        busy = busy.max(report.busy_interval);
-        delay = delay.max(report.delay_bound);
-        backlog += report.backlog_bound;
-        class_delays.push((c, report.delay_bound));
-    }
-    Ok(SchedReport {
-        busy_period: busy,
-        delay_bound: delay,
-        backlog_bound: backlog,
-        class_delays,
-    })
+    let n = present.len();
+    present
+        .iter()
+        .map(|&c| {
+            let w = weight_of(c)?;
+            let rate = BitsPerSec::new(link.rate.value() * w as f64 / wsum as f64);
+            let latency = Bits::new(kind.latency_cells(w, wsum, n) * CELL_BITS) / link.rate;
+            Ok(PortClass {
+                class: Some(c),
+                members: (0..classes.len()).filter(|&i| classes[i] == c).collect(),
+                service: RateLatencyService::new(rate, latency),
+            })
+        })
+        .collect()
 }
 
 /// An output-port scheduling discipline, as carried by a network
@@ -415,18 +485,11 @@ impl SchedulerAnalysis for Scheduler {
         }
     }
 
-    fn analyze(
-        &self,
-        flows: &[ClassedFlow],
-        link: &LinkConfig,
-        cfg: &AnalysisConfig,
-    ) -> Result<SchedReport, AtmError> {
+    fn decompose(&self, classes: &[u8], link: &LinkConfig) -> Result<Vec<PortClass>, AtmError> {
         match self {
-            Self::Fifo => Fifo.analyze(flows, link, cfg),
-            Self::Iwrr { weights } => {
-                per_class_analysis(flows, link, cfg, weights, RoundRobin::Iwrr)
-            }
-            Self::Drr { quanta } => per_class_analysis(flows, link, cfg, quanta, RoundRobin::Drr),
+            Self::Fifo => Fifo.decompose(classes, link),
+            Self::Iwrr { weights } => round_robin_classes(classes, link, weights, RoundRobin::Iwrr),
+            Self::Drr { quanta } => round_robin_classes(classes, link, quanta, RoundRobin::Drr),
         }
     }
 }
@@ -660,6 +723,235 @@ mod tests {
                 traited.arrivals(i).value().to_bits()
             );
         }
+    }
+
+    /// The pre-decomposition analyses, verbatim: FIFO as one aggregate
+    /// against `C·t`, and the round-robin family's per-class loop.
+    mod reference {
+        use super::super::*;
+
+        pub fn fifo(
+            flows: &[ClassedFlow],
+            link: &LinkConfig,
+            cfg: &AnalysisConfig,
+        ) -> Result<SchedReport, AtmError> {
+            link.validate().map_err(AtmError::InvalidConfig)?;
+            if flows.is_empty() {
+                return Err(AtmError::EmptyFlowSet);
+            }
+            let aggregate = Aggregate::new(flows.iter().map(|f| Arc::clone(&f.envelope)).collect());
+            let service = RateLatencyService::constant_rate(link.rate);
+            let report = analyze_guaranteed_server(&aggregate, &service, cfg)?;
+            Ok(SchedReport {
+                busy_period: report.busy_interval,
+                delay_bound: report.delay_bound,
+                backlog_bound: report.backlog_bound,
+                class_delays: Vec::new(),
+            })
+        }
+
+        pub fn per_class(
+            flows: &[ClassedFlow],
+            link: &LinkConfig,
+            cfg: &AnalysisConfig,
+            weights: &[u32],
+            kind: RoundRobin,
+        ) -> Result<SchedReport, AtmError> {
+            link.validate().map_err(AtmError::InvalidConfig)?;
+            if flows.is_empty() {
+                return Err(AtmError::EmptyFlowSet);
+            }
+            let mut classes: Vec<u8> = flows.iter().map(|f| f.class).collect();
+            classes.sort_unstable();
+            classes.dedup();
+            let weight_of = |class: u8| -> Result<u32, AtmError> {
+                match weights.get(usize::from(class)) {
+                    Some(&w) if w >= 1 => Ok(w),
+                    Some(_) => Err(AtmError::InvalidConfig(format!(
+                        "scheduler weight for class {class} must be >= 1"
+                    ))),
+                    None => Err(AtmError::InvalidConfig(format!(
+                        "no scheduler weight configured for class {class} \
+                         ({} classes configured)",
+                        weights.len()
+                    ))),
+                }
+            };
+            let mut wsum: u64 = 0;
+            for &c in &classes {
+                wsum += u64::from(weight_of(c)?);
+            }
+            let n = classes.len();
+            let mut busy = Seconds::ZERO;
+            let mut delay = Seconds::ZERO;
+            let mut backlog = Bits::ZERO;
+            let mut class_delays = Vec::with_capacity(n);
+            for &c in &classes {
+                let w = weight_of(c)?;
+                let members: Vec<SharedEnvelope> = flows
+                    .iter()
+                    .filter(|f| f.class == c)
+                    .map(|f| Arc::clone(&f.envelope))
+                    .collect();
+                let rate = BitsPerSec::new(link.rate.value() * w as f64 / wsum as f64);
+                let latency = Bits::new(kind.latency_cells(w, wsum, n) * CELL_BITS) / link.rate;
+                let aggregate = Aggregate::new(members);
+                let service = RateLatencyService::new(rate, latency);
+                let report = analyze_guaranteed_server(&aggregate, &service, cfg)?;
+                busy = busy.max(report.busy_interval);
+                delay = delay.max(report.delay_bound);
+                backlog += report.backlog_bound;
+                class_delays.push((c, report.delay_bound));
+            }
+            Ok(SchedReport {
+                busy_period: busy,
+                delay_bound: delay,
+                backlog_bound: backlog,
+                class_delays,
+            })
+        }
+    }
+
+    /// Busy period, delay, backlog and class delays as bit patterns.
+    type ReportBits = (u64, u64, u64, Vec<(u8, u64)>);
+
+    /// Bit patterns of a report (or the error), for exact comparison.
+    fn bits(r: &Result<SchedReport, AtmError>) -> Result<ReportBits, AtmError> {
+        r.clone().map(|r| {
+            (
+                r.busy_period.value().to_bits(),
+                r.delay_bound.value().to_bits(),
+                r.backlog_bound.value().to_bits(),
+                r.class_delays
+                    .iter()
+                    .map(|&(c, d)| (c, d.value().to_bits()))
+                    .collect(),
+            )
+        })
+    }
+
+    /// Random flow sets over up to four classes: leaky buckets and
+    /// periodic sources, loads reaching past a class's share so some
+    /// classes are unstable.
+    fn classed_flows() -> impl proptest::prelude::Strategy<Value = Vec<ClassedFlow>> {
+        use hetnet_traffic::models::PeriodicEnvelope;
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            (
+                1.0e3_f64..4.0e5,
+                0.5_f64..45.0,
+                0_u32..4,
+                proptest::bool::ANY,
+            ),
+            1..7,
+        )
+        .prop_map(|specs| {
+            specs
+                .into_iter()
+                .map(|(sigma, rho, class, periodic)| {
+                    let env: SharedEnvelope = if periodic {
+                        let period = Seconds::new(sigma / BitsPerSec::from_mbps(rho).value());
+                        Arc::new(
+                            PeriodicEnvelope::new(
+                                Bits::new(sigma),
+                                period,
+                                BitsPerSec::from_mbps(100.0),
+                            )
+                            .unwrap(),
+                        )
+                    } else {
+                        lb(sigma, rho)
+                    };
+                    ClassedFlow::new(env, class as u8)
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The decomposition-plus-combine analysis reproduces the
+        /// pre-decomposition FIFO, IWRR and DRR analyses bit for bit,
+        /// errors included (unstable classes, missing weights).
+        #[test]
+        fn decomposed_analysis_matches_reference_bits(
+            fs in classed_flows(),
+            weights in proptest::collection::vec(1_u32..6, 3..5),
+        ) {
+            let (link, cfg) = (oc3(), cfg());
+            proptest::prop_assert_eq!(
+                bits(&Fifo.analyze(&fs, &link, &cfg)),
+                bits(&reference::fifo(&fs, &link, &cfg))
+            );
+            proptest::prop_assert_eq!(
+                bits(&Scheduler::Fifo.analyze(&fs, &link, &cfg)),
+                bits(&reference::fifo(&fs, &link, &cfg))
+            );
+            let iwrr = Iwrr { weights: weights.clone() }.analyze(&fs, &link, &cfg);
+            proptest::prop_assert_eq!(
+                bits(&iwrr),
+                bits(&reference::per_class(&fs, &link, &cfg, &weights, RoundRobin::Iwrr))
+            );
+            let drr = Scheduler::Drr { quanta: weights.clone() }.analyze(&fs, &link, &cfg);
+            proptest::prop_assert_eq!(
+                bits(&drr),
+                bits(&reference::per_class(&fs, &link, &cfg, &weights, RoundRobin::Drr))
+            );
+        }
+    }
+
+    #[test]
+    fn decomposition_reference_sees_unstable_and_unmapped_classes() {
+        // The generator's ranges must reach both error kinds, or the
+        // property above would only ever compare successes.
+        let unstable = flows(&[(1000.0, 60.0, 0), (1000.0, 10.0, 1)]);
+        let w = [1, 7, 1];
+        assert!(matches!(
+            reference::per_class(&unstable, &oc3(), &cfg(), &w, RoundRobin::Drr),
+            Err(AtmError::Analysis(_))
+        ));
+        assert_eq!(
+            bits(&Drr { quanta: w.to_vec() }.analyze(&unstable, &oc3(), &cfg())),
+            bits(&reference::per_class(
+                &unstable,
+                &oc3(),
+                &cfg(),
+                &w,
+                RoundRobin::Drr
+            ))
+        );
+        let unmapped = flows(&[(1000.0, 5.0, 3)]);
+        assert_eq!(
+            bits(
+                &Iwrr {
+                    weights: w.to_vec()
+                }
+                .analyze(&unmapped, &oc3(), &cfg())
+            ),
+            bits(&reference::per_class(
+                &unmapped,
+                &oc3(),
+                &cfg(),
+                &w,
+                RoundRobin::Iwrr
+            ))
+        );
+        // FIFO's decomposition is one class-blind class of every flow.
+        let d = Fifo.decompose(&[2, 0, 2], &oc3()).unwrap();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].class, None);
+        assert_eq!(d[0].members, vec![0, 1, 2]);
+        let d = Drr {
+            quanta: vec![3, 2, 1],
+        }
+        .decompose(&[2, 0, 2], &oc3())
+        .unwrap();
+        assert_eq!(
+            d.iter().map(|c| c.class).collect::<Vec<_>>(),
+            [Some(0), Some(2)]
+        );
+        assert_eq!(d[1].members, vec![0, 2]);
     }
 
     /// `Scheduler` is `#[non_exhaustive]`, so downstream matches need a

@@ -29,12 +29,13 @@
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::{
     evaluate_paths, CacheStats, CandidateOutcome, EvalCache, EvalConfig, EvalOutcome, Evaluator,
-    PathInput, PathReport, ScreenedOutcome,
+    MuxKey, PathInput, PathReport, ScreenedOutcome,
 };
 use crate::error::CacError;
-use crate::incremental::{FastContext, FastPathStats, IncrementalState};
+use crate::incremental::{hops_for, FastContext, FastPathStats, IncrementalState};
 use crate::network::{Component, HetNetwork, RingId};
 use crate::reconfig::{ReconfigPlan, ReconfigReport};
+use crate::shard::dependency_closure;
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 use crate::trace::{BindingConstraint, ConnectionTrace, DecisionTrace, ServerStage};
 use hetnet_fddi::alloc::{AllocationKey, SyncAllocationTable};
@@ -330,7 +331,7 @@ pub struct TeardownReport {
 pub struct EvalCacheCaps {
     /// Max stage-1 (source MAC analysis) entries.
     pub stage1: usize,
-    /// Max per-multiplexer analysis entries.
+    /// Max stage-2 (per-class multiplexer) analysis entries.
     pub mux: usize,
     /// Max receive-side analysis entries.
     pub receive: usize,
@@ -404,8 +405,9 @@ enum FixedCheck {
     Feasible(Vec<PathReport>),
     /// No finite bound exists (some server unstable), verbatim detail.
     Unstable(String),
-    /// Bounds exist but a deadline is missed: `victim` indexes the
-    /// first violated active connection (`None` = the candidate).
+    /// Bounds exist but a deadline is missed: `victim` is the `active`
+    /// index of the first violated connection (`None` = the candidate);
+    /// `reports` follow the evaluated scope's order.
     DeadlineMiss {
         victim: Option<usize>,
         reports: Vec<PathReport>,
@@ -658,15 +660,53 @@ impl NetworkState {
         self.tables[ring.0].available(self.net.ring(ring))
     }
 
-    /// Builds the evaluation inputs for all active connections, plus an
-    /// optional candidate at a trial allocation.
+    /// The active connections a decision on `spec` evaluates, as
+    /// ascending indices into `active`. A traced decision reports every
+    /// connection, so it takes them all; an untraced one takes the
+    /// candidate's dependency closure — the connections it shares a
+    /// multiplexer with, transitively — read off a transient
+    /// mux → members map of the active set. Connections outside the
+    /// closure cross no multiplexer the candidate can change and are
+    /// already feasible, so the decision comes out the same (DESIGN.md
+    /// §12).
+    fn scope(&self, spec: &ConnectionSpec, tracing: bool) -> Result<Vec<usize>, CacError> {
+        if tracing {
+            return Ok((0..self.active.len()).collect());
+        }
+        // Every connection's hops, flat, ending at `ends[i]`; and every
+        // (mux, connection) membership sorted by mux, split into parallel
+        // key and member columns.
+        let mut hops: Vec<MuxKey> = Vec::new();
+        let mut ends: Vec<usize> = Vec::with_capacity(self.active.len());
+        for c in &self.active {
+            hops.extend(hops_for(&self.net, c.spec.source, c.spec.dest)?);
+            ends.push(hops.len());
+        }
+        let hops_of = |i: usize| &hops[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+        let mut memberships: Vec<(MuxKey, usize)> = (0..ends.len())
+            .flat_map(|i| hops_of(i).iter().map(move |&key| (key, i)))
+            .collect();
+        memberships.sort_unstable();
+        let (keys, members): (Vec<MuxKey>, Vec<usize>) = memberships.into_iter().unzip();
+        let (_, closure) = dependency_closure(
+            hops_for(&self.net, spec.source, spec.dest)?,
+            |key| &members[keys.partition_point(|&k| k < key)..keys.partition_point(|&k| k <= key)],
+            hops_of,
+        );
+        Ok(closure.into_iter().collect())
+    }
+
+    /// Builds the evaluation inputs for the active connections at
+    /// `scope` (ascending `active` indices), plus an optional candidate
+    /// at a trial allocation.
     fn inputs_with(
         &self,
+        scope: &[usize],
         candidate: Option<(&ConnectionSpec, SyncBandwidth, SyncBandwidth)>,
     ) -> Vec<PathInput> {
-        let mut v: Vec<PathInput> = self
-            .active
+        let mut v: Vec<PathInput> = scope
             .iter()
+            .map(|&i| &self.active[i])
             .map(|c| PathInput {
                 source: c.spec.source,
                 dest: c.spec.dest,
@@ -698,13 +738,14 @@ impl NetworkState {
         hs: SyncBandwidth,
         hr: SyncBandwidth,
         cfg: &CacConfig,
+        scope: &[usize],
     ) -> Result<FixedCheck, CacError> {
-        let inputs = self.inputs_with(Some((spec, hs, hr)));
+        let inputs = self.inputs_with(scope, Some((spec, hs, hr)));
         match evaluate_paths(&self.net, &inputs, &cfg.eval)? {
             EvalOutcome::Infeasible(detail) => Ok(FixedCheck::Unstable(detail)),
             EvalOutcome::Feasible(reports) => {
-                for (i, c) in self.active.iter().enumerate() {
-                    if reports[i].total > c.spec.deadline {
+                for (report, &i) in reports.iter().zip(scope) {
+                    if report.total > self.active[i].spec.deadline {
                         return Ok(FixedCheck::DeadlineMiss {
                             victim: Some(i),
                             reports,
@@ -912,7 +953,8 @@ impl NetworkState {
         // One evaluator for the whole request: the sender-side analyses
         // of existing connections are computed once and reused across
         // every search iteration.
-        let base_inputs = self.inputs_with(None);
+        let scope = self.scope(&spec, tracing)?;
+        let base_inputs = self.inputs_with(&scope, None);
         let mk_inputs = |hs: SyncBandwidth, hr: SyncBandwidth| -> Vec<PathInput> {
             let mut v = base_inputs.clone();
             v.push(PathInput {
@@ -944,9 +986,12 @@ impl NetworkState {
             Chosen(SyncBandwidth, SyncBandwidth, Vec<PathReport>),
             Reject(RejectReason, Option<TraceParts>),
         }
-        // Deadlines of the existing connections, in `active` (= input)
+        // Deadlines of the evaluated connections, in input (= scope)
         // order, for the screened evaluations below.
-        let deadlines: Vec<Seconds> = self.active.iter().map(|c| c.spec.deadline).collect();
+        let deadlines: Vec<Seconds> = scope
+            .iter()
+            .map(|&i| self.active[i].spec.deadline)
+            .collect();
         let searched: Result<Search, CacError> = (|| {
             // Step 2: the feasible region is empty unless the maximum works —
             // and because existing connections' delays are nondecreasing in
@@ -972,7 +1017,7 @@ impl NetworkState {
                             RejectReason::InfeasibleAtMaximum {
                                 detail: format!(
                                     "existing {} would miss its deadline",
-                                    self.active[index].id
+                                    self.active[scope[index]].id
                                 ),
                             },
                             None,
@@ -993,6 +1038,8 @@ impl NetworkState {
                     }
                 }
             } else {
+                // Traced: the scope is every active connection, so report
+                // indices are `active` indices below.
                 let reports_at_max = match ev.evaluate_full(&mk_inputs(max_s, max_r))? {
                     EvalOutcome::Infeasible(detail) => {
                         let parts = tracing.then(|| TraceParts {
@@ -1390,7 +1437,8 @@ impl NetworkState {
                 parts,
             ));
         }
-        let reports = match self.feasible_with(&spec, h_s, h_r, cfg)? {
+        let scope = self.scope(&spec, tracing)?;
+        let reports = match self.feasible_with(&spec, h_s, h_r, cfg, &scope)? {
             FixedCheck::Feasible(reports) => reports,
             FixedCheck::Unstable(detail) => {
                 let parts = tracing.then(|| TraceParts {
@@ -1991,7 +2039,8 @@ impl NetworkState {
         &self,
         cfg: &CacConfig,
     ) -> Result<Vec<(ConnectionId, Seconds)>, CacError> {
-        let inputs = self.inputs_with(None);
+        let all: Vec<usize> = (0..self.active.len()).collect();
+        let inputs = self.inputs_with(&all, None);
         match evaluate_paths(&self.net, &inputs, &cfg.eval)? {
             EvalOutcome::Feasible(reports) => Ok(self
                 .active
@@ -2067,6 +2116,23 @@ mod tests {
         }
     }
 
+    /// `spec` at a tenth of its load, so one ring carries many flows.
+    fn light(src: (usize, usize), dst: (usize, usize), deadline_ms: f64) -> ConnectionSpec {
+        ConnectionSpec {
+            envelope: Arc::new(
+                DualPeriodicEnvelope::new(
+                    Bits::from_mbits(0.2),
+                    Seconds::from_millis(100.0),
+                    Bits::from_mbits(0.025),
+                    Seconds::from_millis(10.0),
+                    BitsPerSec::from_mbps(100.0),
+                )
+                .unwrap(),
+            ),
+            ..spec(src, dst, deadline_ms)
+        }
+    }
+
     #[test]
     fn admits_a_reasonable_request() {
         let mut s = state();
@@ -2091,6 +2157,135 @@ mod tests {
             }
             Decision::Rejected(r) => panic!("unexpected rejection: {r}"),
         }
+    }
+
+    /// Untraced admissions evaluate the candidate's dependency closure
+    /// only. On `grid(4, 3)` the 0↔1 and 2↔3 ring pairs share no
+    /// multiplexer, so a 0↔1 candidate makes exactly the stage-1 lookups
+    /// (and the decision) it would make with no 2↔3 flows at all; a
+    /// traced decision still evaluates every connection.
+    #[test]
+    fn untraced_admission_evaluates_only_the_candidate_closure() {
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        let grid = || NetworkState::new(HetNetwork::grid(4, 3));
+        let spec = light;
+        let (mut both, mut alone, mut traced) = (grid(), grid(), grid());
+        traced.set_decision_tracing(true);
+        for (pair01, pair23) in [
+            (spec((0, 0), (1, 0), 100.0), spec((2, 0), (3, 0), 100.0)),
+            (spec((1, 1), (0, 1), 100.0), spec((3, 1), (2, 1), 100.0)),
+        ] {
+            for s in [&mut both, &mut traced] {
+                assert!(s.admit(pair01.clone(), &opts).unwrap().is_admitted());
+                assert!(s.admit(pair23.clone(), &opts).unwrap().is_admitted());
+            }
+            assert!(alone.admit(pair01, &opts).unwrap().is_admitted());
+        }
+        let candidate = spec((0, 2), (1, 2), 100.0);
+        let allocation = |s: &mut NetworkState| match s.admit(candidate.clone(), &opts).unwrap() {
+            Decision::Admitted {
+                h_s,
+                h_r,
+                delay_bound,
+                ..
+            } => (
+                h_s.per_rotation().value().to_bits(),
+                h_r.per_rotation().value().to_bits(),
+                delay_bound.value().to_bits(),
+            ),
+            Decision::Rejected(r) => panic!("rejected: {r}"),
+        };
+        let lookups = |s: &NetworkState| {
+            let c = s.last_cache_stats().expect("a β-search ran");
+            c.stage1_hits + c.stage1_misses
+        };
+        let decided = allocation(&mut both);
+        assert_eq!(decided, allocation(&mut alone));
+        assert_eq!(decided, allocation(&mut traced));
+        assert_eq!(
+            lookups(&both),
+            lookups(&alone),
+            "the 2↔3 flows must not be evaluated"
+        );
+        assert!(
+            lookups(&traced) > lookups(&both),
+            "a traced decision reports, so evaluates, every connection"
+        );
+    }
+
+    /// The closure is transitive: a 2→1 flow shares the candidate's
+    /// downlink into ring 1, and a 2→3 flow shares only that flow's
+    /// uplink, yet it shapes the 2→1 flow's arrivals and so belongs to
+    /// the closure; a 3→2 flow shares nothing with either and does not.
+    #[test]
+    fn candidate_closure_follows_shared_multiplexers_transitively() {
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        type Endpoints = ((usize, usize), (usize, usize));
+        let decide = |flows: &[Endpoints], tracing: bool| {
+            let mut s = NetworkState::new(HetNetwork::grid(4, 3));
+            s.set_decision_tracing(tracing);
+            for &(src, dst) in flows {
+                assert!(s
+                    .admit(light(src, dst, 100.0), &opts)
+                    .unwrap()
+                    .is_admitted());
+            }
+            let Decision::Admitted {
+                h_s, delay_bound, ..
+            } = s.admit(light((0, 2), (1, 2), 100.0), &opts).unwrap()
+            else {
+                panic!("candidate fits")
+            };
+            let c = s.last_cache_stats().expect("a β-search ran");
+            (
+                h_s.per_rotation().value().to_bits(),
+                delay_bound.value().to_bits(),
+                c.stage1_hits + c.stage1_misses,
+            )
+        };
+        let (f1, f2, f3) = (((2, 0), (1, 0)), ((2, 1), (3, 1)), ((3, 2), (2, 2)));
+        assert_eq!(decide(&[f1, f2, f3], false), decide(&[f1, f2], true));
+    }
+
+    /// A closure-scoped screened check names the existing connection
+    /// that would miss its deadline by its `active` id, not by its
+    /// position in the closure: the reject detail equals the traced
+    /// (full-scope) decision's.
+    #[test]
+    fn scoped_deadline_miss_names_the_right_connection() {
+        let cac = CacConfig::fast();
+        let h = SyncBandwidth::new(Seconds::from_millis(1.0));
+        let fixed = AdmissionOptions::fixed(cac.clone(), h, h);
+        // The victim's exact bound with nothing else on its multiplexers.
+        let mut victim = light((0, 0), (1, 0), 1000.0);
+        let mut probe = NetworkState::new(HetNetwork::grid(4, 3));
+        let Decision::Admitted { delay_bound, .. } = probe.admit(victim.clone(), &fixed).unwrap()
+        else {
+            panic!("victim fits alone")
+        };
+        victim.deadline = delay_bound;
+        let mut rejects = Vec::new();
+        for tracing in [false, true] {
+            let mut s = NetworkState::new(HetNetwork::grid(4, 3));
+            s.set_decision_tracing(tracing);
+            // Unrelated 2↔3 flows first, so the victim's closure index
+            // (0) differs from its `active` index (2).
+            for (src, dst) in [((2, 0), (3, 0)), ((3, 1), (2, 1))] {
+                assert!(s
+                    .admit(light(src, dst, 1000.0), &fixed)
+                    .unwrap()
+                    .is_admitted());
+            }
+            assert!(s.admit(victim.clone(), &fixed).unwrap().is_admitted());
+            let candidate = spec((0, 1), (1, 1), 1000.0);
+            match s.admit(candidate, &cac.clone().into()).unwrap() {
+                Decision::Rejected(r) => rejects.push(r.to_string()),
+                Decision::Admitted { .. } => panic!("the victim's deadline has no slack"),
+            }
+        }
+        let expected = format!("existing {} would miss its deadline", ConnectionId(2));
+        assert!(rejects[0].contains(&expected), "{}", rejects[0]);
+        assert_eq!(rejects[0], rejects[1]);
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //! * **Stage 1** (per connection): source-MAC analysis + segmentation +
 //!   flattening — expensive, allocation-dependent, but independent of
 //!   cross traffic. Keyed by (envelope identity, ring, `H_S`).
-//! * **Stage 2** (per multiplexer): the aggregate FIFO analysis of one
-//!   port, keyed by the port plus the exact *member set* — each
-//!   member's wire-envelope identity and the chain of (delay, rate)
-//!   transforms its envelope accumulated on earlier hops. During a line
-//!   search only the muxes the candidate traverses (and their
-//!   downstream dependents) change; every background-only mux is
-//!   analyzed once per admission request and then served from cache.
+//! * **Stage 2** (per scheduler class): the busy-period analysis of one
+//!   class of one port — the scheduler's class decomposition
+//!   ([`SchedulerAnalysis::decompose`]; FIFO is one class-blind class) —
+//!   keyed by the port, the exact bits of the class's rate-latency
+//!   curve, and the class's *ordered members*: each member's
+//!   wire-envelope identity and the chain of (delay, rate) transforms
+//!   its envelope accumulated on earlier hops. The port's report is the
+//!   scheduler's combine step over its classes. During a line search
+//!   only the classes the candidate joins (and their downstream
+//!   dependents) change; every other class is analyzed once and then
+//!   served from cache — including the other classes of a port the
+//!   candidate crosses, whenever their curves are unchanged.
 //! * **Stage 3** (per receive side): reassembly plus the destination
 //!   ring's MAC analysis, keyed by the arrived flow's interned
 //!   signature, the frame size, the destination ring, and `H_R`. A
@@ -58,14 +63,14 @@
 use crate::error::CacError;
 use crate::network::{HetNetwork, HostId};
 use hetnet_atm::affine::AffineBound;
-use hetnet_atm::sched::{ClassedFlow, SchedReport, Scheduler, SchedulerAnalysis};
+use hetnet_atm::sched::{analyze_class, combine, Scheduler, SchedulerAnalysis};
 use hetnet_atm::{AtmError, LinkConfig};
 use hetnet_fddi::mac::{analyze_fddi_mac, DelayOutcome};
 use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_fddi::{frames, FddiError};
 use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_obs as obs;
-use hetnet_traffic::analysis::AnalysisConfig;
+use hetnet_traffic::analysis::{AnalysisConfig, ServerAnalysis};
 use hetnet_traffic::combinators::Sampled;
 use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
 use hetnet_traffic::units::{Bits, Seconds};
@@ -303,16 +308,15 @@ struct Stage1Entry {
 /// reused across evaluations.
 type SigId = u32;
 
-/// One stage-2 cache-key element: a member flow's interned signature
-/// plus the traffic class it presents to the port's scheduler (the
-/// per-class disciplines produce different bounds for different class
-/// assignments of the very same envelopes).
-type MemberKey = (SigId, u8);
+/// The port and the exact bits of one class's rate-latency curve
+/// `(rate, latency)`: the outer key of a stage-2 entry.
+type ClassCurve = (MuxKey, u64, u64);
 
-/// A cached stage-2 outcome.
+/// A cached stage-2 outcome: one class's analysis, or the port's
+/// reject message naming the class's failure.
 #[derive(Clone, Debug)]
-enum MuxCached {
-    Ready(SchedReport),
+enum ClassCached {
+    Ready(ServerAnalysis),
     Infeasible(String),
 }
 
@@ -410,12 +414,12 @@ impl CfgFingerprint {
 #[derive(Debug, Default)]
 pub struct EvalCache {
     stage1: HashMap<Stage1Key, Stage1Entry>,
-    /// Stage-2 analyses: per port, keyed by the member flows' interned
-    /// `(signature, class)` pairs *in member order* (order matters — the
-    /// aggregates sum envelopes in member order, and floating-point
-    /// addition is not associative; class matters because the per-class
-    /// schedulers partition the members by it).
-    mux: HashMap<MuxKey, HashMap<Box<[MemberKey]>, MuxCached>>,
+    /// Stage-2 analyses: per port and class curve, keyed by the class's
+    /// member signatures *in member order* (order matters — the
+    /// aggregate sums envelopes in member order, and floating-point
+    /// addition is not associative). The curve and the members are all a
+    /// class analysis depends on.
+    mux: HashMap<ClassCurve, HashMap<Box<[SigId]>, ClassCached>>,
     /// Wire-envelope identity (pinned `Arc` address) → root signature.
     root_sigs: HashMap<usize, SigId>,
     /// `(parent signature, delay bits, link-rate bits)` → signature of
@@ -460,7 +464,7 @@ impl EvalCache {
         self.stage1.len()
     }
 
-    /// Number of cached multiplexer (stage-2) analyses.
+    /// Number of cached multiplexer (stage-2) class analyses.
     #[must_use]
     pub fn mux_entries(&self) -> usize {
         self.mux.values().map(HashMap::len).sum()
@@ -519,9 +523,10 @@ pub struct CacheStats {
     pub stage1_hits: u64,
     /// Sender-side (stage-1) analyses computed.
     pub stage1_misses: u64,
-    /// Multiplexer (stage-2) analyses served from cache.
+    /// Multiplexer (stage-2) class analyses served from cache (one per
+    /// scheduler class of each probed port; FIFO ports have one class).
     pub mux_hits: u64,
-    /// Multiplexer (stage-2) analyses computed.
+    /// Multiplexer (stage-2) class analyses computed.
     pub mux_misses: u64,
     /// Receive-side (stage-3) analyses served from cache.
     pub receive_hits: u64,
@@ -639,10 +644,12 @@ struct Scratch {
     /// Per path: the queueing delay *its class* sees at each of its hops
     /// (equal to the port-wide bound under FIFO).
     hop_delay: Vec<Vec<Seconds>>,
-    /// Member `(signature, class)` pairs of the mux currently probed.
-    key_sigs: Vec<MemberKey>,
-    /// Member flows of the mux currently being analyzed.
-    flows: Vec<ClassedFlow>,
+    /// Traffic class of each member of the mux currently probed.
+    classes: Vec<u8>,
+    /// Member signatures of the class currently probed.
+    key_sigs: Vec<SigId>,
+    /// Analyses of the probed mux's classes, in class order.
+    class_reports: Vec<ServerAnalysis>,
 }
 
 /// Clears a nested buffer down to `n` empty inner vectors, reusing the
@@ -904,11 +911,6 @@ impl<'a> Evaluator<'a> {
                     MuxKey::Uplink(_) | MuxKey::Downlink(_) => *self.net.access_link(),
                     MuxKey::Backbone(l) => *self.net.backbone().link(hetnet_atm::LinkId(l)),
                 };
-                s.key_sigs.clear();
-                for &(_, pi, hi) in &s.members[start..end] {
-                    let sig = s.hop_sigs[pi as usize][hi as usize];
-                    s.key_sigs.push((sig, paths[pi as usize].class));
-                }
                 let (mux_kind, mux_index) = key.parts();
                 let mux_event = |hit: bool, delay: Option<Seconds>| {
                     obs::event(
@@ -928,55 +930,76 @@ impl<'a> Evaluator<'a> {
                         ],
                     );
                 };
-                let report = match self
-                    .cache
-                    .mux
-                    .get(&key)
-                    .and_then(|port| port.get(s.key_sigs.as_slice()))
-                {
-                    Some(MuxCached::Ready(r)) => {
-                        self.stats.mux_hits += 1;
-                        mux_event(true, Some(r.delay_bound));
-                        r.clone()
+                // The port's class decomposition, then one cache probe per
+                // class: a class whose curve and ordered member signatures
+                // were analyzed before returns its recorded analysis.
+                s.classes.clear();
+                s.classes.extend(
+                    s.members[start..end]
+                        .iter()
+                        .map(|&(_, pi, _)| paths[pi as usize].class),
+                );
+                let classes = self.net.scheduler().decompose(&s.classes, &link)?;
+                s.class_reports.clear();
+                for class in &classes {
+                    s.key_sigs.clear();
+                    for &m in &class.members {
+                        let (_, pi, hi) = s.members[start + m];
+                        s.key_sigs.push(s.hop_sigs[pi as usize][hi as usize]);
                     }
-                    Some(MuxCached::Infeasible(msg)) => {
-                        self.stats.mux_hits += 1;
-                        mux_event(true, None);
-                        return Ok(Some(msg.clone()));
-                    }
-                    None => {
-                        self.stats.mux_misses += 1;
-                        s.flows.clear();
-                        for &(sig, class) in &s.key_sigs {
-                            s.flows
-                                .push(ClassedFlow::new(Arc::clone(self.cache.env(sig)), class));
+                    let curve = (
+                        key,
+                        class.service.rate().value().to_bits(),
+                        class.service.latency().value().to_bits(),
+                    );
+                    let cached = self
+                        .cache
+                        .mux
+                        .get(&curve)
+                        .and_then(|c| c.get(s.key_sigs.as_slice()))
+                        .cloned();
+                    let hit = cached.is_some();
+                    let cached = match cached {
+                        Some(c) => {
+                            self.stats.mux_hits += 1;
+                            c
                         }
-                        match self
-                            .net
-                            .scheduler()
-                            .analyze(&s.flows, &link, &self.cfg.analysis)
-                        {
-                            Ok(r) => {
-                                self.cache.mux.entry(key).or_default().insert(
-                                    Box::from(s.key_sigs.as_slice()),
-                                    MuxCached::Ready(r.clone()),
-                                );
-                                mux_event(false, Some(r.delay_bound));
-                                r
-                            }
-                            Err(AtmError::Analysis(e)) => {
-                                let msg = format!("{key:?}: {e}");
-                                self.cache.mux.entry(key).or_default().insert(
-                                    Box::from(s.key_sigs.as_slice()),
-                                    MuxCached::Infeasible(msg.clone()),
-                                );
-                                mux_event(false, None);
-                                return Ok(Some(msg));
-                            }
-                            Err(e) => return Err(e.into()),
+                        None => {
+                            self.stats.mux_misses += 1;
+                            let members = s
+                                .key_sigs
+                                .iter()
+                                .map(|&sig| Arc::clone(self.cache.env(sig)))
+                                .collect();
+                            let computed =
+                                match analyze_class(members, &class.service, &self.cfg.analysis) {
+                                    Ok(r) => ClassCached::Ready(r),
+                                    Err(AtmError::Analysis(e)) => {
+                                        ClassCached::Infeasible(format!("{key:?}: {e}"))
+                                    }
+                                    Err(e) => return Err(e.into()),
+                                };
+                            self.cache
+                                .mux
+                                .entry(curve)
+                                .or_default()
+                                .insert(Box::from(s.key_sigs.as_slice()), computed.clone());
+                            computed
                         }
-                    }
-                };
+                    };
+                    let analysis = match cached {
+                        ClassCached::Ready(r) => {
+                            mux_event(hit, Some(r.delay_bound));
+                            r
+                        }
+                        ClassCached::Infeasible(msg) => {
+                            mux_event(hit, None);
+                            return Ok(Some(msg));
+                        }
+                    };
+                    s.class_reports.push(analysis);
+                }
+                let report = combine(&classes, &s.class_reports);
                 s.mux_delay.push((key, report.delay_bound));
                 let sched = self.net.scheduler();
                 for &(_, pi, hi) in &s.members[start..end] {
@@ -1669,6 +1692,53 @@ mod tests {
         let third = ev.cache_stats();
         assert_eq!(third.stage1_misses, 2);
         assert!(third.mux_misses > second.mux_misses);
+    }
+
+    /// Stage 2 caches per scheduler class. On a DRR port a candidate
+    /// joining class 1, already present, leaves class 0's curve and
+    /// members unchanged: every port it crosses computes exactly one
+    /// class analysis and serves class 0 from the cache.
+    #[test]
+    fn drr_candidate_recomputes_only_its_own_class() {
+        let network = net().with_scheduler(Scheduler::Drr { quanta: vec![3, 2] });
+        let classed = |src, dst, class| PathInput {
+            class,
+            ..path(src, dst, 2.4, 3.0)
+        };
+        let a = classed((0, 0), (1, 0), 0);
+        let b = classed((0, 1), (1, 1), 1);
+        let c = classed((0, 2), (1, 2), 1);
+        let mut ev = Evaluator::new(&network, EvalConfig::fast());
+        let existing = [a.clone(), b.clone()];
+        assert!(ev.evaluate_full(&existing).unwrap().feasible().is_some());
+        let before = ev.cache_stats();
+        let (out, trace) = obs::collect(4096, || ev.evaluate_full(&[a, b, c]).unwrap());
+        assert!(matches!(out, EvalOutcome::Feasible(_)), "{out:?}");
+        let after = ev.cache_stats();
+        // (hits, misses) per port, from the per-class `mux` events.
+        let mut per_port: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
+        for r in trace.records().iter().filter(|r| r.name == "mux") {
+            let field = |name: &str| {
+                r.fields
+                    .iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.clone())
+            };
+            let port = format!("{:?}/{:?}", field("kind"), field("index"));
+            let slot = per_port.entry(port).or_default();
+            if field("hit") == Some(obs::FieldValue::Bool(true)) {
+                slot.0 += 1;
+            } else {
+                slot.1 += 1;
+            }
+        }
+        assert!(per_port.len() >= 2, "uplink, backbone and downlink ports");
+        for (port, counts) in &per_port {
+            assert_eq!(*counts, (1, 1), "{port}: class 0 hit, class 1 miss");
+        }
+        let ports = per_port.len() as u64;
+        assert_eq!(after.mux_hits - before.mux_hits, ports, "{after:?}");
+        assert_eq!(after.mux_misses - before.mux_misses, ports, "{after:?}");
     }
 
     #[test]

@@ -122,6 +122,43 @@ impl BackboneLedger {
     }
 }
 
+/// The dependency closure of a set of seed multiplexers: the least set
+/// of flows containing every member of every seed and closed under
+/// "shares a multiplexer with", together with every multiplexer those
+/// flows cross. Computed to a fixpoint from a mux → members map
+/// (`members`) and a flow → hops map (`hops`); flows come back in
+/// ascending order.
+///
+/// Both admission states decide over such a closure: the sharded
+/// engine's speculations read one off the backbone ledger, and
+/// [`NetworkState`]'s untraced admissions off a transient map of their
+/// active set. Over a closure every multiplexer a candidate reaches has
+/// its full member set, with the members' upstream hops resolved in
+/// turn, so its analyses come out to the same bits as over the full
+/// state (DESIGN.md §12).
+pub(crate) fn dependency_closure<'a, F: Ord + Copy + 'a>(
+    seeds: impl IntoIterator<Item = MuxKey>,
+    members: impl Fn(MuxKey) -> &'a [F],
+    hops: impl Fn(F) -> &'a [MuxKey],
+) -> (BTreeSet<MuxKey>, BTreeSet<F>) {
+    let mut muxes: BTreeSet<MuxKey> = BTreeSet::new();
+    let mut frontier: Vec<MuxKey> = seeds.into_iter().filter(|&k| muxes.insert(k)).collect();
+    let mut flows: BTreeSet<F> = BTreeSet::new();
+    while let Some(key) = frontier.pop() {
+        for &flow in members(key) {
+            if !flows.insert(flow) {
+                continue;
+            }
+            for &hop in hops(flow) {
+                if muxes.insert(hop) {
+                    frontier.push(hop);
+                }
+            }
+        }
+    }
+    (muxes, flows)
+}
+
 /// The admission state of [`crate::cac::NetworkState`], partitioned by
 /// source ring behind a backbone ledger. Holds no decision logic of its
 /// own: decisions run on scoped [`NetworkState`]s built from
@@ -262,29 +299,16 @@ impl ShardedState {
     /// or unrouted (the scoped admission would reject such a spec
     /// anyway).
     pub fn speculate(&self, source: HostId, dest: HostId) -> Result<Speculation, CacError> {
-        let mut muxes: BTreeSet<MuxKey> = hops_for(&self.net, source, dest)?.into_iter().collect();
-        muxes.insert(MuxKey::Uplink(source.ring));
-        muxes.insert(MuxKey::Downlink(source.ring));
-        muxes.insert(MuxKey::Uplink(dest.ring));
-        muxes.insert(MuxKey::Downlink(dest.ring));
-        let mut ids: BTreeSet<u64> = BTreeSet::new();
-        let mut frontier: Vec<MuxKey> = muxes.iter().copied().collect();
-        while let Some(key) = frontier.pop() {
-            let Some(members) = self.ledger.servers.get(&key) else {
-                continue;
-            };
-            for &id in members {
-                if !ids.insert(id) {
-                    continue;
-                }
-                let flow = self.ledger.flows.get(&id).expect("member flow tracked");
-                for &hop in &flow.hops {
-                    if muxes.insert(hop) {
-                        frontier.push(hop);
-                    }
-                }
-            }
-        }
+        let mut muxes = hops_for(&self.net, source, dest)?;
+        muxes.push(MuxKey::Uplink(source.ring));
+        muxes.push(MuxKey::Downlink(source.ring));
+        muxes.push(MuxKey::Uplink(dest.ring));
+        muxes.push(MuxKey::Downlink(dest.ring));
+        let (muxes, ids) = dependency_closure(
+            muxes,
+            |key| self.ledger.servers.get(&key).map_or(&[][..], Vec::as_slice),
+            |id| &self.ledger.flows[&id].hops,
+        );
         let connections = ids
             .iter()
             .map(|id| {

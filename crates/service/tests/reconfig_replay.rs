@@ -6,13 +6,16 @@
 //! engine's very first event.
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
-use hetnet_cac::network::HetNetwork;
+use hetnet_cac::network::{HetNetwork, Scheduler};
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_service::audit::AuditKind;
-use hetnet_service::{run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine};
-use hetnet_sim::churn;
+use hetnet_service::{
+    entries_equivalent, run, verify_recovery, ReconfigEvent, ServiceConfig, ServiceEngine,
+};
+use hetnet_sim::churn::{self, ChurnConfig, TopologyShape, TrafficPattern};
 use hetnet_sim::fault::FaultConfig;
-use hetnet_traffic::units::Seconds;
+use hetnet_traffic::models::DualPeriodicEnvelope;
+use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
 use proptest::prelude::*;
 
 /// A paper-style churn workload with two mid-run reconfigurations: a
@@ -148,4 +151,117 @@ fn reconfigure_fires_first_after_recover() {
         Some(&AuditKind::Reconfig),
         "the reconfiguration must be the first entry the recovered engine replays"
     );
+}
+
+/// The `grid_retune` benchmark's shape at test size: paired churn of
+/// tiny dual-periodic sources (40–240 ms deadlines) on an 8-ring grid,
+/// a DRR `[3,2]` backbone with two classes, seeded faults, and TTRT
+/// retunes to 6 ms and back to 10 ms.
+fn drr_retune_cfg(pattern: TrafficPattern, requests: usize, beta: f64, seed: u64) -> ServiceConfig {
+    let rate = 0.75;
+    let mut cfg = ServiceConfig::paper_style(rate, requests, seed);
+    cfg.churn = ChurnConfig {
+        shape: TopologyShape {
+            rings: 8,
+            hosts_per_ring: 3,
+        },
+        pattern,
+        source_weights: None,
+        arrival_rate: rate,
+        mean_holding: Seconds::new(80.0),
+        max_holding: Seconds::new(240.0),
+        deadline: (Seconds::from_millis(40.0), Seconds::from_millis(240.0)),
+        source: DualPeriodicEnvelope::new(
+            Bits::from_mbits(0.002),
+            Seconds::from_millis(100.0),
+            Bits::from_mbits(0.0005),
+            Seconds::from_millis(25.0),
+            BitsPerSec::from_mbps(100.0),
+        )
+        .expect("valid source"),
+        requests,
+        seed,
+    };
+    let mut cac = CacConfig::fast().with_beta(beta);
+    cac.min_frame_efficiency = 0.8;
+    cfg.options = AdmissionOptions::beta_search(cac);
+    let span = churn::generate(&cfg.churn).span().value();
+    let retune = |at: f64, ms: f64| ReconfigEvent {
+        at: Seconds::new(span * at),
+        plan: ReconfigPlan::uniform_ttrt(Seconds::from_millis(ms)),
+    };
+    cfg.with_scheduler(Scheduler::Drr { quanta: vec![3, 2] }, 2)
+        .with_faults(FaultConfig {
+            mean_gap: Seconds::new(30.0),
+            ..FaultConfig::paper_style(seed ^ 0x5eed_fa17)
+        })
+        .with_reconfigs(vec![retune(0.35, 6.0), retune(0.7, 10.0)])
+}
+
+/// Independent oracle for closure-scoped admission: an untraced run
+/// decides each request over the candidate's dependency closure with
+/// screened deadline checks, a traced run over every connection with
+/// dense reports. On the `grid_retune` shape — DRR classes, faults,
+/// TTRT retunes renegotiating every connection — both must produce the
+/// same audit, entry for entry and reject detail for reject detail,
+/// and the same final snapshot; at β > 0 that includes the step-4
+/// search over closure-scoped multiplexer-delay signatures. Paired
+/// traffic is the benchmark's; neighborhood traffic adds closures that
+/// grow transitively through partly shared routes.
+#[test]
+fn closure_scoped_admission_matches_full_scope_on_drr_retune_grid() {
+    let requests = if cfg!(debug_assertions) { 90 } else { 180 };
+    for (pattern, beta) in [
+        (TrafficPattern::Paired, 0.0),
+        (TrafficPattern::Paired, 0.5),
+        (TrafficPattern::Local(1), 0.0),
+    ] {
+        let mut cfg = drr_retune_cfg(pattern, requests, beta, 20261017);
+        cfg.trace_decisions = false;
+        let scoped = run(HetNetwork::grid(8, 3), &cfg).expect("untraced run");
+        cfg.trace_decisions = true;
+        let full = run(HetNetwork::grid(8, 3), &cfg).expect("traced run");
+        let kinds = |kind: AuditKind| {
+            scoped
+                .audit
+                .entries()
+                .iter()
+                .filter(|e| e.kind == kind)
+                .count()
+        };
+        assert_eq!(
+            kinds(AuditKind::Reconfig),
+            2,
+            "{pattern:?} beta={beta}: both retunes ran"
+        );
+        assert!(
+            kinds(AuditKind::Readmit) > 0,
+            "{pattern:?} beta={beta}: faults parked connections for re-admission"
+        );
+        assert!(
+            scoped
+                .audit
+                .entries()
+                .iter()
+                .any(|e| !e.outcome.is_admitted() && e.kind == AuditKind::Arrival),
+            "{pattern:?} beta={beta}: the workload must reject something"
+        );
+        assert_eq!(
+            scoped.audit.len(),
+            full.audit.len(),
+            "{pattern:?} beta={beta}"
+        );
+        for (a, b) in scoped.audit.entries().iter().zip(full.audit.entries()) {
+            assert!(
+                entries_equivalent(a, b) && a == b,
+                "{pattern:?} beta={beta}: closure scope diverged from full scope at seq {}: {a:?} vs {b:?}",
+                a.seq
+            );
+        }
+        assert_eq!(
+            scoped.state.snapshot().to_json(),
+            full.state.snapshot().to_json(),
+            "{pattern:?} beta={beta}: closure scope must not change any committed state"
+        );
+    }
 }

@@ -220,16 +220,8 @@ fn find_busy_interval(
                 // Refine into (tv, hi0]; the result satisfies the
                 // condition and upper-bounds every violation, so it is a
                 // sound maximization range.
-                let (mut lo, mut hi) = (tv.value(), hi0.value());
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if violated(Seconds::new(mid)) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                return Ok(Seconds::new(hi));
+                // `tv` is violated and `hi0` is not.
+                return Ok(crate::combinators::bisect(tv, hi0, true, violated));
             }
         }
     }

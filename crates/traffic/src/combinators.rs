@@ -704,12 +704,25 @@ fn push_crossings(
     }
 }
 
-/// The switch point of `side` in `[a, b]`, given `side(a) == side_a`: the
-/// upper end of the bracket after 60 halvings.
-fn bisect(a: Seconds, b: Seconds, side_a: bool, side: impl Fn(Seconds) -> bool) -> Seconds {
+/// The switch point of `side` in `[a, b]`, given `side(a) == side_a` and
+/// `side(b) != side_a`: the upper end of the bracket after 60 halvings.
+///
+/// Each halving keeps `side(lo) == side_a` and `side(hi) != side_a`, so
+/// once the midpoint rounds onto either end of the bracket the step
+/// leaves it unchanged, and so does every later one: the loop stops
+/// there, with the bits 60 halvings would return.
+pub(crate) fn bisect(
+    a: Seconds,
+    b: Seconds,
+    side_a: bool,
+    side: impl Fn(Seconds) -> bool,
+) -> Seconds {
     let (mut lo, mut hi) = (a.value(), b.value());
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if side(Seconds::new(mid)) == side_a {
             lo = mid;
         } else {
@@ -968,6 +981,53 @@ mod tests {
         let mut pts = Vec::new();
         tree.breakpoints(Seconds::new(0.2), &mut pts);
         assert_eq!(root.enumerations(), 4);
+    }
+    /// Reference bisection: always 60 halvings.
+    fn bisect_60(a: f64, b: f64, side_a: bool, side: impl Fn(f64) -> bool) -> f64 {
+        let (mut lo, mut hi) = (a, b);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if side(mid) == side_a {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Stopping once the midpoint rounds onto the bracket returns the
+        /// bits of the full 60 halvings, for thresholds anywhere in random
+        /// brackets (including a hair from either end) and both sides.
+        #[test]
+        fn bisect_early_exit_matches_sixty_halvings(
+            a in -3.0_f64..3.0,
+            width_exp in -14.0_f64..3.0,
+            frac in 0.0_f64..1.0,
+            snap in 0_u32..4,
+            rising in proptest::bool::ANY,
+        ) {
+            let b = a + 10.0_f64.powf(width_exp);
+            // Threshold strictly inside (a, b]: interior, the ulp next to
+            // either end, or `b` itself.
+            let t = match snap {
+                0 => (a + frac * (b - a)).clamp(a.next_up(), b),
+                1 => a.next_up(),
+                2 => b.next_down(),
+                _ => b,
+            };
+            // `rising`: false below the threshold; otherwise true below it.
+            let side = |x: f64| (x >= t) == rising;
+            let side_a = side(a);
+            let fast = bisect(Seconds::new(a), Seconds::new(b), side_a, |x| side(x.value()));
+            proptest::prop_assert_eq!(
+                fast.value().to_bits(),
+                bisect_60(a, b, side_a, side).to_bits()
+            );
+        }
     }
 }
 

@@ -85,9 +85,30 @@ perfbench() {
     # perfbench/ is a cargo package with its own [workspace]; the
     # workspace-wide stages above never build it. Its `--self-check` is
     # not run here yet: at `--seconds 0.01` `grid_retune` records no
-    # timed decision and the check panics on an empty sample.
+    # timed decision and the check panics on an empty sample. The smoke
+    # runs below use `--seconds 0.1`, which decides enough requests.
     echo "==> perfbench unit tests (admission benchmark package builds against the workspace)"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+    echo "==> perfbench correctness smoke (both workloads, untraced and traced, 0.1 s each)"
+    local workload trace out detail result
+    for workload in grid_sharded grid_retune; do
+        for trace in 0 1; do
+            out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+                --workload "$workload" --seed 1 --seconds 0.1 --trace "$trace")
+            detail=$(printf '%s\n' "$out" | tail -n 2 | head -n 1)
+            result=$(printf '%s\n' "$out" | tail -n 1)
+            if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+                echo "FAIL: perfbench $workload --trace $trace: $result"
+                exit 1
+            fi
+            if [ "$trace" = 1 ] && ! grep -q '"digests_equal": true' <<<"$detail"; then
+                echo "FAIL: perfbench $workload --trace 1: traced digest differs: $detail"
+                exit 1
+            fi
+            echo "ok: $workload --trace $trace"
+        done
+    done
 }
 
 case "$stage" in
