@@ -32,10 +32,9 @@ use crate::delay::{
     MuxKey, PathInput, PathReport, ScreenedOutcome,
 };
 use crate::error::CacError;
-use crate::incremental::{hops_for, FastContext, FastPathStats, IncrementalState};
+use crate::incremental::{hops_for, FastContext, FastPathStats, MuxIndex};
 use crate::network::{Component, HetNetwork, RingId};
 use crate::reconfig::{ReconfigPlan, ReconfigReport};
-use crate::shard::dependency_closure;
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 use crate::trace::{BindingConstraint, ConnectionTrace, DecisionTrace, ServerStage};
 use hetnet_fddi::alloc::{AllocationKey, SyncAllocationTable};
@@ -200,7 +199,7 @@ pub struct DecisionRecord<'a> {
 /// metrics hook the service layer builds its audit log on. Observers
 /// see rejections too; errors (`Err` from [`NetworkState::admit`])
 /// produce no record because no decision was reached.
-pub trait DecisionObserver: Send {
+pub trait DecisionObserver: Send + Sync {
     /// Called once per decision, in decision order.
     fn on_decision(&mut self, record: &DecisionRecord<'_>);
 
@@ -355,8 +354,14 @@ pub struct NetworkState {
     /// `Arc` makes that construction O(active subset) instead of a
     /// deep topology clone.
     net: Arc<HetNetwork>,
+    /// Admitted connections, in ascending id (= admission) order.
     active: Vec<ActiveConnection>,
     tables: Vec<SyncAllocationTable>,
+    /// Which of `active` cross which multiplexer. `active`, `tables`
+    /// and `index` change only through [`NetworkState::insert`] and
+    /// [`NetworkState::remove`], which keep them in step (`restore` and
+    /// `reconfigure` start them empty and refill them through `insert`).
+    index: MuxIndex,
     next_id: u64,
     last_cache_stats: Option<CacheStats>,
     persist_cache: bool,
@@ -372,9 +377,6 @@ pub struct NetworkState {
     /// Whether β-search probes may be decided by the fast ladder
     /// ([`NetworkState::set_fast_path`]).
     fast_path: bool,
-    /// Per-server incremental admission state, maintained by deltas on
-    /// admit/release/teardown while the fast path is enabled.
-    incremental: Option<IncrementalState>,
     last_fast_stats: Option<FastPathStats>,
     /// Components currently marked down by fault injection; requests
     /// whose path crosses one are rejected without evaluation.
@@ -397,6 +399,49 @@ struct TraceParts {
     allocation: Option<(SyncBandwidth, SyncBandwidth)>,
     connections: Vec<ConnectionTrace>,
     binding: Option<BindingConstraint>,
+}
+
+/// A dependency closure copied out of a [`NetworkState`]
+/// ([`NetworkState::read_closure`]): the closure's connections with
+/// their hops in id order, and the down set and id counter.
+pub(crate) struct ClosureCopy {
+    net: Arc<HetNetwork>,
+    members: Vec<(ActiveConnection, Vec<MuxKey>)>,
+    down: BTreeSet<Component>,
+    next_id: u64,
+}
+
+impl ClosureCopy {
+    /// A state over the same topology holding only the closure, with
+    /// the down set and id counter carried over. An admission decided
+    /// on it is assigned the id the source state would assign next.
+    ///
+    /// The sharded engine decides over these
+    /// ([`crate::shard::ShardedState::speculate`]). Over a closure of
+    /// the candidate's multiplexers and its endpoint rings' uplinks and
+    /// downlinks, every quantity the admission computes — allocation-
+    /// table availability on the endpoint rings, per-multiplexer
+    /// aggregates, existing flows' delay bounds — is bit-identical to
+    /// the source state's, because every flow that could contribute to
+    /// them is present and in the same relative order (see `DESIGN.md`
+    /// §12).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacError::SnapshotMismatch`] if the closure's
+    /// allocations do not fit the rings (impossible for a subset of an
+    /// admitted set).
+    pub(crate) fn into_state(self) -> Result<NetworkState, CacError> {
+        let mut scoped = NetworkState::new_shared(self.net);
+        for (conn, hops) in self.members {
+            scoped.insert(conn, hops).map_err(|e| {
+                CacError::SnapshotMismatch(format!("scoped allocations do not fit: {e}"))
+            })?;
+        }
+        scoped.down = self.down;
+        scoped.next_id = self.next_id;
+        Ok(scoped)
+    }
 }
 
 /// What a fixed-allocation feasibility check found.
@@ -466,13 +511,13 @@ impl NetworkState {
             net,
             active: Vec::new(),
             tables,
+            index: MuxIndex::default(),
             next_id: 0,
             last_cache_stats: None,
             persist_cache: false,
             cache_caps: EvalCacheCaps::default(),
             eval_cache: None,
             fast_path: false,
-            incremental: None,
             last_fast_stats: None,
             down: BTreeSet::new(),
             clock: Seconds::ZERO,
@@ -554,26 +599,18 @@ impl NetworkState {
 
     /// Enables (or disables) the incremental fast path: with it on, the
     /// β bisection's boolean feasible-at-λ probes may be decided by the
-    /// closed-form decision ladder ([`crate::incremental`]) instead of
-    /// the dense evaluator, and the per-server
-    /// [`IncrementalState`](crate::incremental) is maintained by deltas
-    /// across admissions, releases, and teardowns. Every quantity that
-    /// reaches a decision, a trace, or an allocation table still comes
-    /// from the dense evaluator, so decisions are bit-identical with
-    /// the fast path on or off.
+    /// closed-form decision ladder ([`crate::incremental`]) over the
+    /// state's multiplexer-membership index instead of the dense
+    /// evaluator. Every quantity that reaches a decision, a trace, or an
+    /// allocation table still comes from the dense evaluator, so
+    /// decisions are bit-identical with the fast path on or off.
     ///
     /// # Errors
     ///
-    /// Returns [`CacError`] if the per-server state cannot be built
-    /// from the current active set (unrouted rings — impossible for
-    /// connections this state admitted itself).
+    /// Never fails: the index the ladder reads is maintained whether or
+    /// not the fast path is on. The `Result` keeps the signature stable.
     pub fn set_fast_path(&mut self, enabled: bool) -> Result<(), CacError> {
         self.fast_path = enabled;
-        self.incremental = if enabled {
-            Some(IncrementalState::rebuild(&self.net, &self.active)?)
-        } else {
-            None
-        };
         Ok(())
     }
 
@@ -660,40 +697,36 @@ impl NetworkState {
         self.tables[ring.0].available(self.net.ring(ring))
     }
 
+    /// The multiplexers an active connection crosses, in path order
+    /// (empty if `id` is not active).
+    pub(crate) fn hops_of(&self, id: ConnectionId) -> &[MuxKey] {
+        self.index.hops(id)
+    }
+
+    /// The `active` index of connection `id` (`active` is id-ordered).
+    fn position(&self, id: ConnectionId) -> Option<usize> {
+        self.active.binary_search_by_key(&id, |c| c.id).ok()
+    }
+
     /// The active connections a decision on `spec` evaluates, as
     /// ascending indices into `active`. A traced decision reports every
     /// connection, so it takes them all; an untraced one takes the
     /// candidate's dependency closure — the connections it shares a
-    /// multiplexer with, transitively — read off a transient
-    /// mux → members map of the active set. Connections outside the
-    /// closure cross no multiplexer the candidate can change and are
-    /// already feasible, so the decision comes out the same (DESIGN.md
-    /// §12).
+    /// multiplexer with, transitively — read off the membership index.
+    /// Connections outside the closure cross no multiplexer the
+    /// candidate can change and are already feasible, so the decision
+    /// comes out the same (DESIGN.md §12).
     fn scope(&self, spec: &ConnectionSpec, tracing: bool) -> Result<Vec<usize>, CacError> {
         if tracing {
             return Ok((0..self.active.len()).collect());
         }
-        // Every connection's hops, flat, ending at `ends[i]`; and every
-        // (mux, connection) membership sorted by mux, split into parallel
-        // key and member columns.
-        let mut hops: Vec<MuxKey> = Vec::new();
-        let mut ends: Vec<usize> = Vec::with_capacity(self.active.len());
-        for c in &self.active {
-            hops.extend(hops_for(&self.net, c.spec.source, c.spec.dest)?);
-            ends.push(hops.len());
-        }
-        let hops_of = |i: usize| &hops[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
-        let mut memberships: Vec<(MuxKey, usize)> = (0..ends.len())
-            .flat_map(|i| hops_of(i).iter().map(move |&key| (key, i)))
-            .collect();
-        memberships.sort_unstable();
-        let (keys, members): (Vec<MuxKey>, Vec<usize>) = memberships.into_iter().unzip();
-        let (_, closure) = dependency_closure(
-            hops_for(&self.net, spec.source, spec.dest)?,
-            |key| &members[keys.partition_point(|&k| k < key)..keys.partition_point(|&k| k <= key)],
-            hops_of,
-        );
-        Ok(closure.into_iter().collect())
+        let (_, closure) = self
+            .index
+            .closure(hops_for(&self.net, spec.source, spec.dest)?);
+        Ok(closure
+            .into_iter()
+            .map(|id| self.position(id).expect("indexed connection is active"))
+            .collect())
     }
 
     /// Builds the evaluation inputs for the active connections at
@@ -1124,33 +1157,33 @@ impl NetworkState {
 
             // Fast decision ladder for step 3's boolean probes (see
             // `crate::incremental`): assembled per decision from the
-            // delta-maintained per-server state and the evaluator's
-            // cached stage-1 summaries; `None` runs everything densely.
-            let fast_ctx = match (&self.incremental, self.fast_path) {
-                (Some(state), true) => {
-                    match FastContext::assemble(
-                        &mut ev,
-                        &self.net,
-                        state,
-                        &self.active,
-                        spec.source,
-                        spec.dest,
-                    )? {
-                        Ok(ctx) => Some(ctx),
-                        Err(cause) => {
-                            // The whole decision runs densely; count it
-                            // so a depressed service-level hit rate is
-                            // attributable to its cause.
-                            fast_stats.record_skip(cause);
-                            obs::event(
-                                "fast_path_skipped",
-                                &[("cause", obs::FieldValue::Str(cause))],
-                            );
-                            None
-                        }
+            // membership index the insert and remove paths keep up to
+            // date and the evaluator's cached stage-1 summaries; `None`
+            // runs everything densely.
+            let fast_ctx = if self.fast_path {
+                match FastContext::assemble(
+                    &mut ev,
+                    &self.net,
+                    &self.index,
+                    &self.active,
+                    spec.source,
+                    spec.dest,
+                )? {
+                    Ok(ctx) => Some(ctx),
+                    Err(cause) => {
+                        // The whole decision runs densely; count it so a
+                        // depressed service-level hit rate is
+                        // attributable to its cause.
+                        fast_stats.record_skip(cause);
+                        obs::event(
+                            "fast_path_skipped",
+                            &[("cause", obs::FieldValue::Str(cause))],
+                        );
+                        None
                     }
                 }
-                _ => None,
+            } else {
+                None
             };
 
             // Candidate-only probe: feasibility is the newcomer's own
@@ -1332,34 +1365,9 @@ impl NetworkState {
             Search::Reject(reason, parts) => return Ok((Decision::Rejected(reason), parts)),
         };
 
-        // Commit. A non-persisted cache dies with the active-set change;
-        // a persisted one stays valid — see `persist_eval_cache`.
-        if !self.persist_cache {
-            self.eval_cache = None;
-        }
-        let id = ConnectionId(self.next_id);
-        self.next_id += 1;
-        let key = AllocationKey(id.0);
-        self.tables[spec.source.ring]
-            .allocate(key, h_s, ring_s)
-            .map_err(CacError::from)?;
-        if let Err(e) = self.tables[spec.dest.ring].allocate(key, h_r, ring_r) {
-            // Roll back the source allocation before surfacing the error.
-            let _ = self.tables[spec.source.ring].release(key);
-            return Err(e.into());
-        }
-        if let Some(state) = self.incremental.as_mut() {
-            state.admit(&self.net, id, &spec, h_s, h_r)?;
-        }
         let delay_bound = reports.last().expect("candidate included").total;
-        self.active.push(ActiveConnection {
-            id,
-            spec,
-            h_s,
-            h_r,
-            delay_bound,
-        });
-        // Build the trace after the push so the candidate's entry (the
+        let id = self.commit(spec, h_s, h_r, delay_bound)?;
+        // Build the trace after the commit so the candidate's entry (the
         // last) carries its real id.
         let parts = tracing.then(|| TraceParts {
             allocation: Some((h_s, h_r)),
@@ -1481,32 +1489,8 @@ impl NetworkState {
                 ));
             }
         };
-        if !self.persist_cache {
-            self.eval_cache = None;
-        }
-        let id = ConnectionId(self.next_id);
-        self.next_id += 1;
-        let key = AllocationKey(id.0);
-        self.tables[spec.source.ring]
-            .allocate(key, h_s, self.net.ring(spec.source.ring))
-            .map_err(CacError::from)?;
-        if let Err(e) =
-            self.tables[spec.dest.ring].allocate(key, h_r, self.net.ring(spec.dest.ring))
-        {
-            let _ = self.tables[spec.source.ring].release(key);
-            return Err(e.into());
-        }
-        if let Some(state) = self.incremental.as_mut() {
-            state.admit(&self.net, id, &spec, h_s, h_r)?;
-        }
         let delay_bound = reports.last().expect("candidate included").total;
-        self.active.push(ActiveConnection {
-            id,
-            spec,
-            h_s,
-            h_r,
-            delay_bound,
-        });
+        let id = self.commit(spec, h_s, h_r, delay_bound)?;
         let parts = tracing.then(|| TraceParts {
             allocation: Some((h_s, h_r)),
             connections: self.traces_committed(&reports),
@@ -1523,32 +1507,90 @@ impl NetworkState {
         ))
     }
 
+    /// Records an admission at the id a decision on this state would
+    /// assign next. The admit paths commit through this, and so does
+    /// the sharded engine for decisions taken over a scoped copy of
+    /// this state ([`crate::shard::ShardedState::commit_admit`]). It
+    /// decides nothing and notifies no observer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacError`] if the rings are unrouted or the
+    /// allocations do not fit the rings' remaining budgets.
+    pub(crate) fn commit(
+        &mut self,
+        spec: ConnectionSpec,
+        h_s: SyncBandwidth,
+        h_r: SyncBandwidth,
+        delay_bound: Seconds,
+    ) -> Result<ConnectionId, CacError> {
+        let hops = hops_for(&self.net, spec.source, spec.dest)?;
+        let id = ConnectionId(self.next_id);
+        let conn = ActiveConnection {
+            id,
+            spec,
+            h_s,
+            h_r,
+            delay_bound,
+        };
+        self.insert(conn, hops)?;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// The one path by which a connection joins the admitted set: its
+    /// allocations, its index entry and its `active` slot are recorded
+    /// together (or, on an allocation error, none is), and a
+    /// non-persisted evaluator cache dies with the active-set change (a
+    /// persisted one stays valid — see `persist_eval_cache`). Ids must
+    /// arrive in ascending order.
+    fn insert(
+        &mut self,
+        conn: ActiveConnection,
+        hops: Vec<MuxKey>,
+    ) -> Result<(), hetnet_fddi::FddiError> {
+        debug_assert!(
+            self.active.last().is_none_or(|c| c.id < conn.id),
+            "admitted ids must ascend"
+        );
+        let key = AllocationKey(conn.id.0);
+        let (ring_s, ring_r) = (conn.spec.source.ring, conn.spec.dest.ring);
+        self.tables[ring_s].allocate(key, conn.h_s, self.net.ring(ring_s))?;
+        if let Err(e) = self.tables[ring_r].allocate(key, conn.h_r, self.net.ring(ring_r)) {
+            // Roll back the source allocation before surfacing the error.
+            let _ = self.tables[ring_s].release(key);
+            return Err(e);
+        }
+        self.index.insert(conn.id, hops);
+        self.active.push(conn);
+        if !self.persist_cache {
+            self.eval_cache = None;
+        }
+        Ok(())
+    }
+
+    /// The one path by which a connection leaves the admitted set, the
+    /// mirror of [`NetworkState::insert`].
+    pub(crate) fn remove(&mut self, id: ConnectionId) -> Result<ActiveConnection, CacError> {
+        let idx = self.position(id).ok_or(CacError::UnknownConnection(id))?;
+        let conn = self.active.remove(idx);
+        self.index.remove(id);
+        if !self.persist_cache {
+            self.eval_cache = None;
+        }
+        let key = AllocationKey(id.0);
+        self.tables[conn.spec.source.ring].release(key)?;
+        self.tables[conn.spec.dest.ring].release(key)?;
+        Ok(conn)
+    }
+
     /// Tears down an active connection, releasing its allocations.
     ///
     /// # Errors
     ///
     /// Returns [`CacError::UnknownConnection`] if `id` is not active.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), CacError> {
-        let idx = self
-            .active
-            .iter()
-            .position(|c| c.id == id)
-            .ok_or(CacError::UnknownConnection(id))?;
-        let conn = self.active.remove(idx);
-        if !self.persist_cache {
-            self.eval_cache = None;
-        }
-        if let Some(state) = self.incremental.as_mut() {
-            state.release(id);
-        }
-        let key = AllocationKey(id.0);
-        self.tables[conn.spec.source.ring]
-            .release(key)
-            .map_err(CacError::from)?;
-        self.tables[conn.spec.dest.ring]
-            .release(key)
-            .map_err(CacError::from)?;
-        Ok(())
+        self.remove(id).map(drop)
     }
 
     /// Marks a component as failed, tearing down every active
@@ -1571,32 +1613,22 @@ impl NetworkState {
             reclaimed_r: Seconds::ZERO,
         };
         if newly {
-            let victims: Vec<ConnectionId> = self
-                .active
-                .iter()
-                .filter(|c| Self::crosses(&self.net, &c.spec, component))
-                .map(|c| c.id)
+            // A ring or its interface device carries every flow sourced
+            // (uplink) or sunk (downlink) there; a link, the flows
+            // routed over it. Victims go in id order.
+            let crossed = match component {
+                Component::Ring(r) | Component::IfDev(r) => {
+                    vec![MuxKey::Uplink(r.0), MuxKey::Downlink(r.0)]
+                }
+                Component::Link(l) => vec![MuxKey::Backbone(l.0)],
+            };
+            let victims: BTreeSet<ConnectionId> = crossed
+                .into_iter()
+                .flat_map(|key| self.index.members(key))
+                .map(|&(id, _)| id)
                 .collect();
             for id in victims {
-                let idx = self
-                    .active
-                    .iter()
-                    .position(|c| c.id == id)
-                    .expect("victim is active");
-                let conn = self.active.remove(idx);
-                if !self.persist_cache {
-                    self.eval_cache = None;
-                }
-                if let Some(state) = self.incremental.as_mut() {
-                    state.release(id);
-                }
-                let key = AllocationKey(id.0);
-                self.tables[conn.spec.source.ring]
-                    .release(key)
-                    .map_err(CacError::from)?;
-                self.tables[conn.spec.dest.ring]
-                    .release(key)
-                    .map_err(CacError::from)?;
+                let conn = self.remove(id)?;
                 report.reclaimed_s += conn.h_s.per_rotation();
                 report.reclaimed_r += conn.h_r.per_rotation();
                 report.torn.push(conn);
@@ -1685,19 +1717,6 @@ impl NetworkState {
         Ok(None)
     }
 
-    /// Whether a spec's path crosses `component` (used to pick teardown
-    /// victims).
-    fn crosses(net: &HetNetwork, spec: &ConnectionSpec, component: Component) -> bool {
-        match component {
-            Component::Ring(r) | Component::IfDev(r) => {
-                spec.source.ring == r.0 || spec.dest.ring == r.0
-            }
-            Component::Link(l) => net
-                .route_between(spec.source.ring, spec.dest.ring)
-                .is_ok_and(|route| route.contains(&l)),
-        }
-    }
-
     fn validate_component(&self, component: Component) -> Result<(), CacError> {
         let ok = match component {
             Component::Ring(r) | Component::IfDev(r) => r.0 < self.net.rings().len(),
@@ -1757,8 +1776,10 @@ impl NetworkState {
     /// # Errors
     ///
     /// Returns [`CacError::SnapshotMismatch`] for a wrong version,
-    /// topology, or ring count, or if the snapshot's allocations do not
-    /// fit the rings (a corrupted snapshot).
+    /// topology, or ring count, for connection ids that are not strictly
+    /// ascending below `next_id`, or if the snapshot's allocations do
+    /// not fit the rings (a corrupted snapshot). A failed restore leaves
+    /// the state untouched.
     pub fn restore(&mut self, snap: &StateSnapshot) -> Result<(), CacError> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(CacError::SnapshotMismatch(format!(
@@ -1773,18 +1794,22 @@ impl NetworkState {
                 self.net.summary()
             )));
         }
-        if snap.rings.as_slice() != self.net.rings() {
-            self.net = Arc::new(
+        let net = if snap.rings.as_slice() == self.net.rings() {
+            Arc::clone(&self.net)
+        } else {
+            Arc::new(
                 self.net
                     .as_ref()
                     .with_ring_configs(snap.rings.clone())
                     .map_err(|e| {
                         CacError::SnapshotMismatch(format!("snapshot ring parameters: {e}"))
                     })?,
-            );
-        }
-        let mut tables = vec![SyncAllocationTable::new(); self.net.rings().len()];
-        let mut active = Vec::with_capacity(snap.connections.len());
+            )
+        };
+        // Rebuild through the insert path on a fresh state, so the
+        // tables, the index and the id order come out exactly as the
+        // admissions left them, and an error leaves `self` as it was.
+        let mut fresh = Self::new_shared(net);
         for c in &snap.connections {
             if c.id.0 >= snap.next_id {
                 return Err(CacError::SnapshotMismatch(format!(
@@ -1792,26 +1817,29 @@ impl NetworkState {
                     c.id, snap.next_id
                 )));
             }
-            let key = AllocationKey(c.id.0);
-            let fit = |e: hetnet_fddi::FddiError| {
-                CacError::SnapshotMismatch(format!("snapshot allocations do not fit: {e}"))
-            };
-            tables[c.source.ring]
-                .allocate(key, c.h_s, self.net.ring(c.source.ring))
-                .map_err(fit)?;
-            tables[c.dest.ring]
-                .allocate(key, c.h_r, self.net.ring(c.dest.ring))
-                .map_err(fit)?;
-            active.push(ActiveConnection {
+            if fresh.active.last().is_some_and(|p| p.id >= c.id) {
+                return Err(CacError::SnapshotMismatch(format!(
+                    "snapshot ids not strictly ascending at {}",
+                    c.id
+                )));
+            }
+            let spec = c.spec();
+            let hops = hops_for(&fresh.net, spec.source, spec.dest)?;
+            let conn = ActiveConnection {
                 id: c.id,
-                spec: c.spec(),
+                spec,
                 h_s: c.h_s,
                 h_r: c.h_r,
                 delay_bound: c.delay_bound,
-            });
+            };
+            fresh.insert(conn, hops).map_err(|e| {
+                CacError::SnapshotMismatch(format!("snapshot allocations do not fit: {e}"))
+            })?;
         }
-        self.tables = tables;
-        self.active = active;
+        self.net = fresh.net;
+        self.tables = fresh.tables;
+        self.active = fresh.active;
+        self.index = fresh.index;
         self.down = snap.down.iter().copied().collect();
         self.next_id = snap.next_id;
         self.clock = snap.clock;
@@ -1820,9 +1848,6 @@ impl NetworkState {
         self.last_cache_stats = None;
         self.last_fast_stats = None;
         self.last_trace = None;
-        if self.fast_path {
-            self.incremental = Some(IncrementalState::rebuild(&self.net, &self.active)?);
-        }
         Ok(())
     }
 
@@ -1855,9 +1880,8 @@ impl NetworkState {
     /// certification tests). It also keeps `next_id` monotone, so
     /// departure bookkeeping above the core never sees an id reused.
     ///
-    /// The incremental fast-path state is rebuilt empty and then
-    /// delta-maintained through the renegotiations; the evaluator cache
-    /// is dropped wholesale (its keys do not span ring parameters). The
+    /// The membership index is rebuilt by the renegotiations' commits;
+    /// the evaluator cache is dropped wholesale (its keys do not span ring parameters). The
     /// reconfiguration consumes one decision sequence number and
     /// reaches the observer via
     /// [`DecisionObserver::on_reconfig`], so audit logs built on the
@@ -1887,13 +1911,11 @@ impl NetworkState {
         let saved_next_id = self.next_id;
         self.net = net;
         self.tables = vec![SyncAllocationTable::new(); self.net.rings().len()];
+        self.index = MuxIndex::default();
         self.eval_cache = None;
         self.last_cache_stats = None;
         self.last_fast_stats = None;
         self.last_trace = None;
-        if self.fast_path {
-            self.incremental = Some(IncrementalState::rebuild(&self.net, &self.active)?);
-        }
         let mut cac = opts.cac.clone();
         if let Some(beta) = plan.beta {
             cac.beta = beta;
@@ -1957,60 +1979,31 @@ impl NetworkState {
         Ok(report)
     }
 
-    /// Builds a state over a shared topology that holds exactly
-    /// `connections` — a subset of some larger admitted set, in id
-    /// order — with allocation tables replayed in that same order, the
-    /// loop [`NetworkState::restore`] runs. `next_id` seeds the id
-    /// counter so that an admission in this state is assigned the id
-    /// the full sequential state would assign next, and `down` carries
-    /// the failed-component set forward.
-    ///
-    /// The sharded engine builds one of these per decision from a
-    /// dependency closure of the candidate: a set closed under
-    /// "shares a multiplexer with". Over such a subset every quantity
-    /// the admission computes — allocation-table availability on the
-    /// endpoint rings, per-multiplexer aggregates, existing flows'
-    /// delay bounds — is bit-identical to the full state's, because
-    /// every flow that could contribute to them is present and in the
-    /// same relative order (see `DESIGN.md` §12).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacError::SnapshotMismatch`] if `connections` is not
-    /// strictly id-ordered below `next_id`, or its allocations do not
-    /// fit the rings (either means the caller's partitioned state is
-    /// corrupt).
-    pub fn scoped(
-        net: Arc<HetNetwork>,
-        connections: Vec<ActiveConnection>,
-        down: BTreeSet<Component>,
-        next_id: u64,
-    ) -> Result<Self, CacError> {
-        let mut state = Self::new_shared(net);
-        let mut prev: Option<u64> = None;
-        for c in &connections {
-            if c.id.0 >= next_id || prev.is_some_and(|p| p >= c.id.0) {
-                return Err(CacError::SnapshotMismatch(format!(
-                    "scoped subset not strictly id-ordered below next_id {next_id} at {}",
-                    c.id
-                )));
-            }
-            prev = Some(c.id.0);
-            let key = AllocationKey(c.id.0);
-            let fit = |e: hetnet_fddi::FddiError| {
-                CacError::SnapshotMismatch(format!("scoped allocations do not fit: {e}"))
-            };
-            state.tables[c.spec.source.ring]
-                .allocate(key, c.h_s, state.net.ring(c.spec.source.ring))
-                .map_err(fit)?;
-            state.tables[c.spec.dest.ring]
-                .allocate(key, c.h_r, state.net.ring(c.spec.dest.ring))
-                .map_err(fit)?;
-        }
-        state.active = connections;
-        state.down = down;
-        state.next_id = next_id;
-        Ok(state)
+    /// Copies out the dependency closure of the multiplexers `seeds` —
+    /// every connection crossing one, closed under "shares a
+    /// multiplexer with" — with every multiplexer the closure crosses.
+    /// The copy is all [`ClosureCopy::into_state`] needs to build the
+    /// scoped state, so a caller reading under a lock can release it
+    /// before that build.
+    pub(crate) fn read_closure(
+        &self,
+        seeds: impl IntoIterator<Item = MuxKey>,
+    ) -> (ClosureCopy, BTreeSet<MuxKey>) {
+        let (muxes, ids) = self.index.closure(seeds);
+        let members = ids
+            .into_iter()
+            .map(|id| {
+                let i = self.position(id).expect("indexed connection is active");
+                (self.active[i].clone(), self.index.hops(id).to_vec())
+            })
+            .collect();
+        let copy = ClosureCopy {
+            net: Arc::clone(&self.net),
+            members,
+            down: self.down.clone(),
+            next_id: self.next_id,
+        };
+        (copy, muxes)
     }
 
     /// Recomputes every active connection's *slack*: deadline minus the
@@ -3186,5 +3179,191 @@ mod tests {
         let bad_overhead = ReconfigPlan::default().with_overhead(Seconds::from_millis(9.0));
         assert!(s.reconfigure(&bad_overhead, &opts).is_err());
         assert_eq!(s.snapshot().to_json(), before);
+    }
+
+    #[test]
+    fn restore_rejects_ids_out_of_order() {
+        let mut s = state();
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        for (src, dst) in [((0, 0), (1, 0)), ((1, 1), (2, 1))] {
+            assert!(s
+                .admit(light(src, dst, 100.0), &opts)
+                .unwrap()
+                .is_admitted());
+        }
+        let mut snap = s.snapshot();
+        snap.connections.swap(0, 1);
+        let mut target = state();
+        let before = target.snapshot().to_json();
+        assert!(matches!(
+            target.restore(&snap),
+            Err(CacError::SnapshotMismatch(m)) if m.contains("ascending")
+        ));
+        assert_eq!(
+            target.snapshot().to_json(),
+            before,
+            "a failed restore changes nothing"
+        );
+    }
+
+    /// Reference closure, independent of the persistent index: a
+    /// mux → members map rebuilt from the whole active set on every
+    /// call, closed to a fixpoint from the candidate's multiplexers.
+    fn transient_map_scope(s: &NetworkState, spec: &ConnectionSpec) -> Vec<usize> {
+        let mut hops: Vec<MuxKey> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        for c in &s.active {
+            hops.extend(hops_for(&s.net, c.spec.source, c.spec.dest).unwrap());
+            ends.push(hops.len());
+        }
+        let hops_of = |i: usize| &hops[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+        let mut memberships: Vec<(MuxKey, usize)> = (0..ends.len())
+            .flat_map(|i| hops_of(i).iter().map(move |&key| (key, i)))
+            .collect();
+        memberships.sort_unstable();
+        let (keys, members): (Vec<MuxKey>, Vec<usize>) = memberships.into_iter().unzip();
+        let mut muxes: BTreeSet<MuxKey> = BTreeSet::new();
+        let mut frontier: Vec<MuxKey> = hops_for(&s.net, spec.source, spec.dest)
+            .unwrap()
+            .into_iter()
+            .filter(|&k| muxes.insert(k))
+            .collect();
+        let mut flows: BTreeSet<usize> = BTreeSet::new();
+        while let Some(key) = frontier.pop() {
+            let lo = keys.partition_point(|&k| k < key);
+            let hi = keys.partition_point(|&k| k <= key);
+            for &flow in &members[lo..hi] {
+                if !flows.insert(flow) {
+                    continue;
+                }
+                for &hop in hops_of(flow) {
+                    if muxes.insert(hop) {
+                        frontier.push(hop);
+                    }
+                }
+            }
+        }
+        flows.into_iter().collect()
+    }
+
+    /// A light spec between two distinct rings of a `rings`-ring
+    /// network, drawn from three raw numbers.
+    fn drawn(rings: usize, a: usize, b: usize, station: usize) -> ConnectionSpec {
+        let src = a % rings;
+        let dst = (src + 1 + b % (rings - 1)) % rings;
+        light((src, station % 3), (dst, (station + 1) % 3), 1000.0)
+    }
+
+    /// Every table entry, ring by ring, in key order.
+    fn table_entries(s: &NetworkState) -> Vec<Vec<(AllocationKey, u64)>> {
+        s.tables
+            .iter()
+            .map(|t| {
+                t.iter()
+                    .map(|(k, h)| (k, h.per_rotation().value().to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The tables a from-scratch replay of `active` produces.
+    fn rebuilt_tables(s: &NetworkState) -> Vec<Vec<(AllocationKey, u64)>> {
+        let mut fresh = NetworkState::new_shared(Arc::clone(&s.net));
+        for c in &s.active {
+            let key = AllocationKey(c.id.0);
+            let (rs, rr) = (c.spec.source.ring, c.spec.dest.ring);
+            fresh.tables[rs]
+                .allocate(key, c.h_s, s.net.ring(rs))
+                .unwrap();
+            fresh.tables[rr]
+                .allocate(key, c.h_r, s.net.ring(rr))
+                .unwrap();
+        }
+        table_entries(&fresh)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The membership index and the allocation tables move in step
+        /// with `active` through every mutation: after each step of a
+        /// random admit / release / down / up / restore / reconfigure
+        /// sequence they equal a from-scratch rebuild, and ids ascend.
+        #[test]
+        fn membership_index_matches_rebuild(
+            ops in proptest::collection::vec((0usize..8, 0usize..16, 0usize..16), 1..40),
+        ) {
+            let mut s = NetworkState::new(HetNetwork::grid(4, 3));
+            s.set_fast_path(true).unwrap();
+            let rings = s.net.rings().len();
+            let links = s.net.backbone().link_count();
+            let h = SyncBandwidth::new(Seconds::from_millis(0.4));
+            let opts = AdmissionOptions::fixed(CacConfig::fast(), h, h);
+            for (op, a, b) in ops {
+                match op {
+                    0..=2 => {
+                        s.admit(drawn(rings, a, b, a + b), &opts).unwrap();
+                    }
+                    3 if !s.active.is_empty() => {
+                        let id = s.active[(a * 7 + b) % s.active.len()].id;
+                        s.release(id).unwrap();
+                    }
+                    4 => {
+                        let c = if b % 2 == 0 {
+                            Component::Ring(RingId(a % rings))
+                        } else {
+                            Component::Link(hetnet_atm::LinkId(a % links))
+                        };
+                        s.set_component_down(c).unwrap();
+                    }
+                    5 => {
+                        for c in s.down_components() {
+                            s.set_component_up(c).unwrap();
+                        }
+                    }
+                    6 => {
+                        let snap = s.snapshot();
+                        s.restore(&snap).unwrap();
+                    }
+                    _ => {
+                        let ttrt = Seconds::from_millis(if a % 2 == 0 { 6.0 } else { 8.0 });
+                        s.reconfigure(&ReconfigPlan::uniform_ttrt(ttrt), &opts).unwrap();
+                    }
+                }
+                proptest::prop_assert!(s.active.windows(2).all(|w| w[0].id < w[1].id));
+                proptest::prop_assert_eq!(&s.index, &MuxIndex::rebuild(&s.net, &s.active).unwrap());
+                proptest::prop_assert_eq!(table_entries(&s), rebuilt_tables(&s));
+            }
+        }
+
+        /// The untraced scope read off the persistent index is exactly
+        /// the closure a per-call map of the whole active set yields.
+        #[test]
+        fn scope_matches_transient_map_closure(
+            flows in proptest::collection::vec((0usize..16, 0usize..16), 1..24),
+            departures in proptest::collection::vec(0usize..64, 0..6),
+            candidates in proptest::collection::vec((0usize..16, 0usize..16), 1..6),
+        ) {
+            let mut s = NetworkState::new(HetNetwork::grid(6, 3));
+            let rings = s.net.rings().len();
+            let h = SyncBandwidth::new(Seconds::from_millis(0.2));
+            let opts = AdmissionOptions::fixed(CacConfig::fast(), h, h);
+            for &(a, b) in &flows {
+                s.admit(drawn(rings, a, b, a), &opts).unwrap();
+            }
+            for d in departures {
+                if !s.active.is_empty() {
+                    let id = s.active[d % s.active.len()].id;
+                    s.release(id).unwrap();
+                }
+            }
+            for (a, b) in candidates {
+                let spec = drawn(rings, a, b, b);
+                proptest::prop_assert_eq!(
+                    s.scope(&spec, false).unwrap(),
+                    transient_map_scope(&s, &spec)
+                );
+            }
+        }
     }
 }

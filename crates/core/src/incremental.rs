@@ -6,13 +6,11 @@
 //! moved. This module maintains the cross-request state that makes a
 //! probe `O(path length)`:
 //!
-//! * [`IncrementalState`] — per-ring Theorem-1 aggregate terms and
-//!   per-multiplexer membership, updated by deltas on every
-//!   admit/release/teardown. Equality with a from-scratch rebuild is a
-//!   maintained invariant (ring totals are re-summed in connection-id
-//!   order on each change, so they are bit-identical to a rebuild, not
-//!   merely close).
-//! * [`FastContext`] — a per-decision snapshot combining that state
+//! * [`MuxIndex`] — which admitted connections cross which
+//!   multiplexer, kept by [`crate::cac::NetworkState`] in step with its
+//!   active set on every admit/release/teardown, and shared with the
+//!   closure scoping of every untraced decision.
+//! * [`FastContext`] — a per-decision snapshot combining that index
 //!   with the dense evaluator's cached stage-1 summaries, through which
 //!   each probe runs a five-rung decision ladder:
 //!
@@ -35,18 +33,17 @@
 //! is how decisions stay bit-identical with the fast path on or off
 //! (property-tested in `tests/fast_path.rs`).
 
-use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
+use crate::connection::{ActiveConnection, ConnectionId};
 use crate::delay::{Evaluator, FastStage1, MuxKey, PathInput};
 use crate::error::CacError;
 use crate::network::{HetNetwork, HostId};
 use hetnet_atm::affine::{fifo_bounds, AffineBound};
 use hetnet_atm::cell;
 use hetnet_fddi::mac::mac_service;
-use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_obs as obs;
 use hetnet_traffic::service::ServiceCurve;
 use hetnet_traffic::units::Seconds;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Relative slack applied to every fast-path comparison, covering the
@@ -150,176 +147,105 @@ impl FastPathStats {
     }
 }
 
-/// Per-ring Theorem-1 aggregate terms: total synchronous bandwidth held
-/// by senders (`Σ H_S`) and receiving interface devices (`Σ H_R`), and
-/// the total sustained rate of the sources transmitting on the ring.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub(crate) struct RingTerms {
-    /// `Σ H_S` of connections sourced on this ring (seconds/rotation).
-    pub(crate) h_s_total: f64,
-    /// `Σ H_R` of connections terminating on this ring.
-    pub(crate) h_r_total: f64,
-    /// `Σ ρ` of source envelopes on this ring (bits/second).
-    pub(crate) rho_total: f64,
-}
-
-/// What one admitted connection contributes to the incremental state.
-#[derive(Clone, Debug, PartialEq)]
-struct FlowTerms {
-    source_ring: usize,
-    dest_ring: usize,
-    h_s: f64,
-    h_r: f64,
-    rho: f64,
-    /// The multiplexers the flow traverses, in path order.
-    hops: Vec<MuxKey>,
-}
-
-/// Membership of one backbone multiplexer: which connection crosses it
-/// and at which hop of its path, in connection-id order (admission ids
-/// are monotone, so this is also admission order — the canonical order
-/// the dense evaluator sums each aggregate in).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct ServerTerms {
-    members: Vec<(ConnectionId, u32)>,
-}
-
-impl ServerTerms {
-    /// The `(connection, hop index)` members in connection-id order.
-    pub(crate) fn members(&self) -> &[(ConnectionId, u32)] {
-        &self.members
-    }
-}
-
-/// Persistent admission state maintained by deltas.
+/// Which admitted connections cross which multiplexer: the one fact a
+/// decision's scope depends on (eq. 7 ties a connection's delay only to
+/// the servers it crosses). Kept by [`crate::cac::NetworkState`] in
+/// step with its active set and read by the closure scoping, the
+/// sharded engine's speculations, and the fast ladder alike.
 ///
-/// `PartialEq` compares every term (floats included): ring totals are
-/// recomputed from zero in id order on each mutation, so an
-/// incrementally maintained state is bit-identical to
-/// [`IncrementalState::rebuild`] of the same active set — the invariant
-/// the property tests pin down.
+/// Members are kept in connection-id order — admission ids are
+/// monotone, so this is also admission order, the canonical order the
+/// dense evaluator sums each aggregate in — each with the hop index at
+/// which its path crosses the multiplexer.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct IncrementalState {
-    flows: BTreeMap<ConnectionId, FlowTerms>,
-    servers: BTreeMap<MuxKey, ServerTerms>,
-    rings: Vec<RingTerms>,
+pub(crate) struct MuxIndex {
+    servers: BTreeMap<MuxKey, Vec<(ConnectionId, u32)>>,
+    hops: BTreeMap<ConnectionId, Vec<MuxKey>>,
 }
 
-impl IncrementalState {
-    /// Empty state for a network of `ring_count` rings.
-    pub(crate) fn new(ring_count: usize) -> Self {
-        Self {
-            flows: BTreeMap::new(),
-            servers: BTreeMap::new(),
-            rings: vec![RingTerms::default(); ring_count],
-        }
-    }
-
-    /// Builds the state of `active` from scratch (the reference the
-    /// delta-maintained state must stay equal to).
-    pub(crate) fn rebuild(net: &HetNetwork, active: &[ActiveConnection]) -> Result<Self, CacError> {
-        let mut state = Self::new(net.rings().len());
-        for c in active {
-            state.insert(net, c.id, &c.spec, c.h_s, c.h_r)?;
-        }
-        // One recompute for the whole batch instead of one per flow:
-        // `recompute_rings` re-sums from zero over the id-ordered flow
-        // map, so its final result depends only on the final map —
-        // bitwise identical to recomputing after every insert.
-        state.recompute_rings();
-        Ok(state)
-    }
-
-    /// Records an admitted connection.
-    pub(crate) fn admit(
-        &mut self,
-        net: &HetNetwork,
-        id: ConnectionId,
-        spec: &ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-    ) -> Result<(), CacError> {
-        self.insert(net, id, spec, h_s, h_r)?;
-        self.recompute_rings();
-        Ok(())
-    }
-
-    /// Inserts a flow's per-server terms without refreshing ring
-    /// totals; callers must `recompute_rings` before the state is read.
-    fn insert(
-        &mut self,
-        net: &HetNetwork,
-        id: ConnectionId,
-        spec: &ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-    ) -> Result<(), CacError> {
-        let hops = hops_for(net, spec.source, spec.dest)?;
+impl MuxIndex {
+    /// Registers connection `id` crossing `hops`, in path order.
+    pub(crate) fn insert(&mut self, id: ConnectionId, hops: Vec<MuxKey>) {
         for (hi, key) in hops.iter().enumerate() {
-            let server = self.servers.entry(*key).or_default();
-            let pos = server.members.partition_point(|&(mid, _)| mid < id);
-            server.members.insert(pos, (id, hi as u32));
+            let members = self.servers.entry(*key).or_default();
+            let pos = members.partition_point(|&(mid, _)| mid < id);
+            members.insert(pos, (id, hi as u32));
         }
-        self.flows.insert(
-            id,
-            FlowTerms {
-                source_ring: spec.source.ring,
-                dest_ring: spec.dest.ring,
-                h_s: h_s.per_rotation().value(),
-                h_r: h_r.per_rotation().value(),
-                rho: spec.envelope.sustained_rate().value(),
-                hops,
-            },
-        );
-        Ok(())
+        self.hops.insert(id, hops);
     }
 
-    /// Removes a released (or torn-down) connection. Unknown ids are
-    /// ignored, so teardown sweeps can release unconditionally.
-    pub(crate) fn release(&mut self, id: ConnectionId) {
-        let Some(flow) = self.flows.remove(&id) else {
-            return;
-        };
-        for key in &flow.hops {
-            let now_empty = match self.servers.get_mut(key) {
-                Some(server) => {
-                    server.members.retain(|&(mid, _)| mid != id);
-                    server.members.is_empty()
-                }
-                None => false,
-            };
-            if now_empty {
+    /// Builds the index of `active` from scratch: the reference the
+    /// maintained index must stay equal to.
+    #[cfg(test)]
+    pub(crate) fn rebuild(net: &HetNetwork, active: &[ActiveConnection]) -> Result<Self, CacError> {
+        let mut index = Self::default();
+        for c in active {
+            index.insert(c.id, hops_for(net, c.spec.source, c.spec.dest)?);
+        }
+        Ok(index)
+    }
+
+    /// Unregisters connection `id`, returning the multiplexers it
+    /// crossed (`None` if it was not registered).
+    pub(crate) fn remove(&mut self, id: ConnectionId) -> Option<Vec<MuxKey>> {
+        let hops = self.hops.remove(&id)?;
+        for key in &hops {
+            let members = self.servers.get_mut(key).expect("indexed hop has members");
+            let pos = members
+                .binary_search_by_key(&id, |&(mid, _)| mid)
+                .expect("indexed connection is a member of its hops");
+            members.remove(pos);
+            if members.is_empty() {
                 self.servers.remove(key);
             }
         }
-        self.recompute_rings();
+        Some(hops)
     }
 
-    /// The Theorem-1 aggregate terms of one ring.
-    #[cfg(test)]
-    pub(crate) fn ring_totals(&self, ring: usize) -> RingTerms {
-        self.rings[ring]
+    /// The multiplexers connection `id` crosses, in path order (empty
+    /// if it is not registered).
+    pub(crate) fn hops(&self, id: ConnectionId) -> &[MuxKey] {
+        self.hops.get(&id).map_or(&[], Vec::as_slice)
     }
 
-    /// Number of tracked connections.
-    #[cfg(test)]
-    pub(crate) fn flow_count(&self) -> usize {
-        self.flows.len()
+    /// The `(connection, hop index)` members of one multiplexer, in
+    /// connection-id order.
+    pub(crate) fn members(&self, key: MuxKey) -> &[(ConnectionId, u32)] {
+        self.servers.get(&key).map_or(&[], Vec::as_slice)
     }
 
-    /// Ring totals are *re-summed from zero in connection-id order* on
-    /// every mutation rather than adjusted by `+=`/`-=` deltas: float
-    /// addition is not associative, and delta adjustment would let the
-    /// totals drift away (bitwise) from what a rebuild produces.
-    fn recompute_rings(&mut self) {
-        for r in &mut self.rings {
-            *r = RingTerms::default();
+    /// Every occupied multiplexer with its members, in key order.
+    pub(crate) fn servers(&self) -> impl Iterator<Item = (&MuxKey, &[(ConnectionId, u32)])> {
+        self.servers.iter().map(|(k, m)| (k, m.as_slice()))
+    }
+
+    /// The dependency closure of a set of seed multiplexers: the least
+    /// set of connections containing every member of every seed and
+    /// closed under "shares a multiplexer with", together with every
+    /// multiplexer those connections cross. Over a closure every
+    /// multiplexer a candidate reaches has its full member set, with the
+    /// members' upstream hops resolved in turn, so its analyses come out
+    /// to the same bits as over the full state (DESIGN.md §12).
+    pub(crate) fn closure(
+        &self,
+        seeds: impl IntoIterator<Item = MuxKey>,
+    ) -> (BTreeSet<MuxKey>, BTreeSet<ConnectionId>) {
+        let mut muxes: BTreeSet<MuxKey> = BTreeSet::new();
+        let mut frontier: Vec<MuxKey> = seeds.into_iter().filter(|&k| muxes.insert(k)).collect();
+        let mut flows: BTreeSet<ConnectionId> = BTreeSet::new();
+        while let Some(key) = frontier.pop() {
+            for &(id, _) in self.members(key) {
+                if !flows.insert(id) {
+                    continue;
+                }
+                for &hop in self.hops(id) {
+                    if muxes.insert(hop) {
+                        frontier.push(hop);
+                    }
+                }
+            }
         }
-        for f in self.flows.values() {
-            self.rings[f.source_ring].h_s_total += f.h_s;
-            self.rings[f.source_ring].rho_total += f.rho;
-            self.rings[f.dest_ring].h_r_total += f.h_r;
-        }
+        (muxes, flows)
     }
 }
 
@@ -383,7 +309,7 @@ impl LadderOutcome {
 
 /// Per-decision snapshot driving the fast ladder: the dense evaluator's
 /// cached stage-1 summaries of every active connection, the multiplexer
-/// membership (actives from [`IncrementalState`], candidate appended),
+/// membership (actives from the [`MuxIndex`], candidate appended),
 /// in dependency order, and the candidate's λ-independent fixed delays.
 #[derive(Debug)]
 pub(crate) struct FastContext<'n> {
@@ -410,12 +336,12 @@ impl<'n> FastContext<'n> {
     pub(crate) fn new(
         ev: &mut Evaluator<'_>,
         net: &'n HetNetwork,
-        state: &IncrementalState,
+        index: &MuxIndex,
         active: &[ActiveConnection],
         source: HostId,
         dest: HostId,
     ) -> Result<Option<Self>, CacError> {
-        Ok(Self::assemble(ev, net, state, active, source, dest)?.ok())
+        Ok(Self::assemble(ev, net, index, active, source, dest)?.ok())
     }
 
     /// [`FastContext::new`], but a failed assembly names its cause (one
@@ -423,7 +349,7 @@ impl<'n> FastContext<'n> {
     pub(crate) fn assemble(
         ev: &mut Evaluator<'_>,
         net: &'n HetNetwork,
-        state: &IncrementalState,
+        index: &MuxIndex,
         active: &[ActiveConnection],
         source: HostId,
         dest: HostId,
@@ -453,9 +379,9 @@ impl<'n> FastContext<'n> {
 
         let cand_pi = active.len();
         let mut grouped: BTreeMap<MuxKey, Vec<(u32, u32)>> = BTreeMap::new();
-        for (key, server) in &state.servers {
-            let mut members = Vec::with_capacity(server.members().len());
-            for &(id, hi) in server.members() {
+        for (key, server) in index.servers() {
+            let mut members = Vec::with_capacity(server.len());
+            for &(id, hi) in server {
                 // Actives are kept in id order, so the position of an id
                 // in `active` is its path index.
                 match active.binary_search_by_key(&id, |c| c.id) {
@@ -733,8 +659,10 @@ impl<'n> FastContext<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connection::ConnectionSpec;
     use crate::delay::{CandidateOutcome, EvalConfig};
     use hetnet_fddi::frames;
+    use hetnet_fddi::ring::SyncBandwidth;
     use hetnet_traffic::models::DualPeriodicEnvelope;
     use hetnet_traffic::units::{Bits, BitsPerSec};
     use proptest::prelude::*;
@@ -804,12 +732,12 @@ mod tests {
     #[test]
     fn ladder_decides_easy_cases() {
         let net = HetNetwork::paper_topology();
-        let state = IncrementalState::new(net.rings().len());
+        let index = MuxIndex::default();
         let mut ev = Evaluator::new(&net, EvalConfig::fast());
         let ctx = FastContext::new(
             &mut ev,
             &net,
-            &state,
+            &index,
             &[],
             HostId {
                 ring: 0,
@@ -863,47 +791,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Delta maintenance must stay bit-identical to a from-scratch
-        /// rebuild across arbitrary admit/release interleavings.
-        #[test]
-        fn incremental_state_matches_rebuild(
-            ops in proptest::collection::vec((0usize..3, 0usize..3, 0usize..3), 1..40),
-        ) {
-            let net = HetNetwork::paper_topology();
-            let mut state = IncrementalState::new(net.rings().len());
-            let mut active: Vec<ActiveConnection> = Vec::new();
-            let mut next_id = 0u64;
-            for (op, a, b) in ops {
-                if op < 2 || active.is_empty() {
-                    let (src, dst) = if a == b { (a, (a + 1) % 3) } else { (a, b) };
-                    let id = ConnectionId(next_id);
-                    next_id += 1;
-                    let spec = spec_between(0.5 + a as f64, src, dst);
-                    let h = SyncBandwidth::new(Seconds::from_millis(0.5 + b as f64));
-                    state.admit(&net, id, &spec, h, h).unwrap();
-                    active.push(ActiveConnection {
-                        id,
-                        spec,
-                        h_s: h,
-                        h_r: h,
-                        delay_bound: Seconds::ZERO,
-                    });
-                } else {
-                    let victim = active.remove((a * 7 + b) % active.len());
-                    state.release(victim.id);
-                }
-                let rebuilt = IncrementalState::rebuild(&net, &active).unwrap();
-                prop_assert!(state == rebuilt, "diverged after {} ops", active.len());
-                let totals = state.ring_totals(0);
-                prop_assert!(totals.h_s_total >= 0.0 && totals.rho_total >= 0.0);
-                prop_assert_eq!(state.flow_count(), active.len());
-            }
-            for c in &active {
-                state.release(c.id);
-            }
-            prop_assert!(state == IncrementalState::new(net.rings().len()));
-        }
-
         /// Every decisive ladder answer must agree with the dense probe,
         /// and the bounds must bracket the dense total.
         #[test]
@@ -926,12 +813,12 @@ mod tests {
                     delay_bound: Seconds::ZERO,
                 });
             }
-            let state = IncrementalState::rebuild(&net, &active).unwrap();
+            let index = MuxIndex::rebuild(&net, &active).unwrap();
             let mut ev = Evaluator::new(&net, EvalConfig::fast());
             let src = HostId { ring: 0, station: 1 };
             let dst = HostId { ring: 2, station: 1 };
             let Some(ctx) =
-                FastContext::new(&mut ev, &net, &state, &active, src, dst).unwrap()
+                FastContext::new(&mut ev, &net, &index, &active, src, dst).unwrap()
             else {
                 return;
             };

@@ -92,6 +92,6 @@ pub use error::CacError;
 pub use incremental::FastPathStats;
 pub use network::{Component, HetNetwork, HostId, LinkId, RingId, Scheduler, TopologySummary};
 pub use reconfig::{ReconfigPlan, ReconfigReport};
-pub use shard::{Footprint, ShardCut, ShardedCut, ShardedState, Speculation};
+pub use shard::{Footprint, ShardedState};
 pub use snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
 pub use trace::{BindingConstraint, ConnectionTrace, DecisionTrace, ServerStage};

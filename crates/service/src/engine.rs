@@ -44,7 +44,7 @@ use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId, Scheduler};
 use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
 use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing};
-use hetnet_sim::churn::{self, ChurnConfig, ChurnSchedule};
+use hetnet_sim::churn::{self, ChurnArrival, ChurnConfig, ChurnSchedule};
 use hetnet_sim::fault::{generate_faults, FaultConfig, FaultEvent, FaultKind};
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
@@ -233,6 +233,97 @@ struct Parked {
     departs_bits: u64,
 }
 
+/// What both engines derive from a config before their first event.
+pub(crate) struct Prepared {
+    /// The network, with the configured backbone scheduler installed.
+    pub(crate) network: HetNetwork,
+    pub(crate) schedule: ChurnSchedule,
+    /// The schedule's source model, shared by every request.
+    pub(crate) envelope: SharedEnvelope,
+    pub(crate) faults: Vec<FaultEvent>,
+}
+
+/// Checks `cfg` against `network` — churn shape, scheduler, and class
+/// count — installs the scheduler, and generates the churn and fault
+/// schedules.
+///
+/// # Errors
+///
+/// Returns [`CacError::InvalidRequest`] on a churn-shape mismatch, an
+/// invalid scheduler, or more classes than the scheduler maps.
+pub(crate) fn prepare(network: HetNetwork, cfg: &ServiceConfig) -> Result<Prepared, CacError> {
+    let shape = cfg.churn.shape;
+    if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring() {
+        return Err(CacError::InvalidRequest(format!(
+            "churn shape {}x{} does not match network {}x{}",
+            shape.rings,
+            shape.hosts_per_ring,
+            network.rings().len(),
+            network.hosts_per_ring()
+        )));
+    }
+    let network = match &cfg.scheduler {
+        Some(s) => {
+            s.validate()
+                .map_err(|e| CacError::InvalidRequest(format!("scheduler: {e}")))?;
+            if let Some(map) = s.weight_map() {
+                if usize::from(cfg.classes.max(1)) > map.len() {
+                    return Err(CacError::InvalidRequest(format!(
+                        "classes {} exceed the {} classes mapped by scheduler {s}",
+                        cfg.classes,
+                        map.len()
+                    )));
+                }
+            }
+            network.with_scheduler(s.clone())
+        }
+        None => network,
+    };
+    let schedule = churn::generate(&cfg.churn);
+    let envelope: SharedEnvelope = Arc::new(schedule.source);
+    let faults = match &cfg.faults {
+        Some(f) if !schedule.arrivals.is_empty() => generate_faults(
+            f,
+            network.rings().len(),
+            network.backbone().link_count(),
+            schedule.span(),
+        ),
+        _ => Vec::new(),
+    };
+    Ok(Prepared {
+        network,
+        schedule,
+        envelope,
+        faults,
+    })
+}
+
+/// The request of scheduled arrival `a`. Its backbone traffic class is
+/// derived from the source host (`(ring + station) % classes`), so the
+/// class mix is deterministic without perturbing the churn RNG stream.
+///
+/// # Errors
+///
+/// Propagates spec validation errors.
+pub(crate) fn arrival_spec(
+    cfg: &ServiceConfig,
+    envelope: &SharedEnvelope,
+    a: &ChurnArrival,
+) -> Result<ConnectionSpec, CacError> {
+    let class = if cfg.classes > 1 {
+        ((a.source.0 + a.source.1) % usize::from(cfg.classes)) as u8
+    } else {
+        0
+    };
+    ConnectionSpec::builder()
+        .source(a.source)
+        .dest(a.dest)
+        .envelope(Arc::clone(envelope))
+        .deadline(a.deadline)
+        .class(class)
+        .build()
+}
+
 /// A resumable engine position: the [`StateSnapshot`] of the network
 /// plus the engine's scheduling state (pending departures, parked
 /// connections, open faults, and stream cursors). Everything else —
@@ -321,45 +412,12 @@ impl ServiceEngine {
     /// Returns [`CacError::InvalidRequest`] if the churn shape does not
     /// match the network.
     pub fn new(network: HetNetwork, cfg: &ServiceConfig) -> Result<Self, CacError> {
-        let shape = cfg.churn.shape;
-        if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
-        {
-            return Err(CacError::InvalidRequest(format!(
-                "churn shape {}x{} does not match network {}x{}",
-                shape.rings,
-                shape.hosts_per_ring,
-                network.rings().len(),
-                network.hosts_per_ring()
-            )));
-        }
-        let network = match &cfg.scheduler {
-            Some(s) => {
-                s.validate()
-                    .map_err(|e| CacError::InvalidRequest(format!("scheduler: {e}")))?;
-                if let Some(map) = s.weight_map() {
-                    if usize::from(cfg.classes.max(1)) > map.len() {
-                        return Err(CacError::InvalidRequest(format!(
-                            "classes {} exceed the {} classes mapped by scheduler {s}",
-                            cfg.classes,
-                            map.len()
-                        )));
-                    }
-                }
-                network.with_scheduler(s.clone())
-            }
-            None => network,
-        };
-        let schedule = churn::generate(&cfg.churn);
-        let envelope: SharedEnvelope = Arc::new(schedule.source);
-        let faults = match &cfg.faults {
-            Some(f) if !schedule.arrivals.is_empty() => generate_faults(
-                f,
-                network.rings().len(),
-                network.backbone().link_count(),
-                schedule.span(),
-            ),
-            _ => Vec::new(),
-        };
+        let Prepared {
+            network,
+            schedule,
+            envelope,
+            faults,
+        } = prepare(network, cfg)?;
         for e in &cfg.reconfigs {
             e.plan
                 .validate(network.rings().len())
@@ -576,17 +634,6 @@ impl ServiceEngine {
         Arc::clone(&self.telemetry_ring)
     }
 
-    /// Backbone traffic class for a churn connection, derived from the
-    /// source host (`(ring + station) % classes`) so the class mix is
-    /// deterministic without perturbing the churn RNG stream.
-    fn class_of(&self, source: (usize, usize)) -> u8 {
-        if self.cfg.classes > 1 {
-            ((source.0 + source.1) % usize::from(self.cfg.classes)) as u8
-        } else {
-            0
-        }
-    }
-
     /// Processes the next scheduled arrival, after every departure and
     /// fault due at or before it (ties: departure < fault < arrival).
     /// Returns `false` when the schedule is exhausted.
@@ -600,13 +647,7 @@ impl ServiceEngine {
             return Ok(false);
         };
         self.advance_to(a.at)?;
-        let spec = ConnectionSpec::builder()
-            .source(a.source)
-            .dest(a.dest)
-            .envelope(Arc::clone(&self.envelope))
-            .deadline(a.deadline)
-            .class(self.class_of(a.source))
-            .build()?;
+        let spec = arrival_spec(&self.cfg, &self.envelope, &a)?;
         let idx = self.next_arrival;
         self.decide(a.at, AuditKind::Arrival, idx, spec, a.at + a.holding)?;
         self.next_arrival += 1;
@@ -857,14 +898,11 @@ impl ServiceEngine {
                 self.recovery.expired_in_park += 1;
                 continue;
             }
-            let a = self.schedule.arrivals[p.arrival];
-            let spec = ConnectionSpec::builder()
-                .source(a.source)
-                .dest(a.dest)
-                .envelope(Arc::clone(&self.envelope))
-                .deadline(a.deadline)
-                .class(self.class_of(a.source))
-                .build()?;
+            let spec = arrival_spec(
+                &self.cfg,
+                &self.envelope,
+                &self.schedule.arrivals[p.arrival],
+            )?;
             self.recovery.readmit_attempts += 1;
             let decision = self.decide(
                 now,
@@ -1143,7 +1181,7 @@ pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
 }
 
 /// Per-ring utilization: allocated fraction of allocatable time.
-fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
+pub(crate) fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
     caps.iter()
         .enumerate()
         .map(|(r, &cap)| {

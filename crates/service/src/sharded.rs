@@ -1,20 +1,19 @@
-//! The sharded admission engine: a thread-per-shard front end over the
-//! ring-partitioned [`ShardedState`], committing through its backbone
-//! ledger.
+//! The sharded admission engine: a thread-per-shard front end over one
+//! shared [`ShardedState`] — a [`NetworkState`] behind a conflict log.
 //!
-//! [`crate::engine::ServiceEngine`] drives one flat
-//! [`hetnet_cac::cac::NetworkState`] and pays O(active) per decision.
-//! This engine partitions the event stream instead: arrivals are routed
-//! to a worker by source ring (`ring % workers`), each worker
-//! *speculates* its decisions over the candidate's dependency closure
-//! (a scoped state of typically a few hundred connections, not the
-//! whole network), and a single **committer** walks the merged event
-//! stream in global order, validating each speculation against the
-//! ledger's commit log and applying it — or recomputing it inline when
-//! a conflicting commit landed since the speculation was read
-//! (optimistic concurrency, validate-then-commit). Departures and
-//! faults are applied by the committer at their event slots, exactly
-//! where the sequential engine applies them.
+//! [`crate::engine::ServiceEngine`] decides every arrival in turn on
+//! one [`NetworkState`]. This engine partitions the event stream
+//! instead: arrivals are routed to a worker by source ring
+//! (`ring % workers`), each worker *speculates* its decisions over the
+//! candidate's dependency closure (a scoped state of typically a few
+//! hundred connections, not the whole network), and a single
+//! **committer** walks the merged event stream in global order,
+//! validating each speculation against the conflict log and applying
+//! it — or recomputing it inline when a conflicting commit landed since
+//! the speculation was read (optimistic concurrency,
+//! validate-then-commit). Departures and faults are applied by the
+//! committer at their event slots, exactly where the sequential engine
+//! applies them.
 //!
 //! Because commits happen strictly in event order and conflicted
 //! speculations are recomputed sequentially, the committed decision
@@ -30,7 +29,10 @@
 //! worker count does not leak into decisions.
 
 use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
-use crate::engine::{departure, entries_equivalent, EngineCheckpoint, ServiceConfig, ServiceRun};
+use crate::engine::{
+    arrival_spec, departure, entries_equivalent, prepare, utilization, EngineCheckpoint, Prepared,
+    ServiceConfig, ServiceRun,
+};
 use crate::metrics::{
     CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges, LatencyHistogram,
     RecoveryMetrics, UtilizationSeries,
@@ -48,8 +50,8 @@ use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_cac::trace::DecisionTrace;
 use hetnet_obs::registry::{Counter, Gauge};
 use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing, Trace};
-use hetnet_sim::churn::{self, ChurnArrival, ChurnSchedule};
-use hetnet_sim::fault::{generate_faults, FaultEvent, FaultKind};
+use hetnet_sim::churn::{ChurnArrival, ChurnSchedule};
+use hetnet_sim::fault::{FaultEvent, FaultKind};
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
 use std::cmp::Reverse;
@@ -140,7 +142,6 @@ struct SpecMsg {
     /// Index into the churn schedule's arrivals.
     idx: usize,
     decision: Decision,
-    version: u64,
     footprint: Footprint,
     latency: Seconds,
     cache: CacheStats,
@@ -160,7 +161,7 @@ struct Measured {
     fast: FastPathStats,
     trace: Option<DecisionTrace>,
     closure: usize,
-    /// Ledger version the deciding evaluation speculated at.
+    /// Version the deciding evaluation speculated at.
     version: u64,
     /// Worker shard the request was routed to (`None` for committer-
     /// inline readmits).
@@ -183,13 +184,10 @@ fn decide_scoped(
     spec: &ConnectionSpec,
     at: Seconds,
     cache: &mut Option<hetnet_cac::delay::EvalCache>,
-) -> Result<(SpecMsg, ()), CacError> {
-    let view = shared
-        .read()
-        .expect("sharded state lock poisoned")
-        .speculate(spec.source, spec.dest)?;
+) -> Result<SpecMsg, CacError> {
     let t0 = Instant::now();
-    let mut scoped = view.state()?;
+    let (mut scoped, footprint) = ShardedState::speculate(shared, spec.source, spec.dest)?;
+    let closure = scoped.active().len();
     scoped.set_cache_caps(WORKER_CACHE_CAPS);
     scoped.persist_eval_cache(cfg.persist_cache);
     if let Some(c) = cache.take() {
@@ -208,21 +206,17 @@ fn decide_scoped(
     };
     let latency = Seconds::new(t0.elapsed().as_secs_f64());
     *cache = scoped.take_eval_cache();
-    Ok((
-        SpecMsg {
-            idx: 0,
-            decision,
-            version: view.version,
-            footprint: view.footprint(),
-            latency,
-            cache: scoped.last_cache_stats().unwrap_or_default(),
-            fast: scoped.last_fast_path_stats().unwrap_or_default(),
-            trace: scoped.last_decision_trace().cloned(),
-            spans,
-            closure: view.closure_len(),
-        },
-        (),
-    ))
+    Ok(SpecMsg {
+        idx: 0,
+        decision,
+        footprint,
+        latency,
+        cache: scoped.last_cache_stats().unwrap_or_default(),
+        fast: scoped.last_fast_path_stats().unwrap_or_default(),
+        trace: scoped.last_decision_trace().cloned(),
+        spans,
+        closure,
+    })
 }
 
 /// A connection torn down by a fault, waiting for a repair.
@@ -258,9 +252,6 @@ struct Committer<'a> {
     attribution: DelayAttribution,
     peak_active: usize,
     ring_caps: Vec<f64>,
-    /// Per-ring allocated synchronous time, maintained by delta for the
-    /// utilization series (metrics only; never read by a decision).
-    held: Vec<f64>,
     stats: ShardingStats,
     /// The committer's own carried evaluator cache, for inline
     /// (conflict-retry and readmit) decisions.
@@ -283,7 +274,7 @@ struct Committer<'a> {
     shard_gauges: Vec<CacheGauges>,
     conflicts_total: Counter,
     inline_total: Counter,
-    /// Ledger version most recently validated by the committer.
+    /// Conflict-log version most recently validated by the committer.
     ledger_version: Gauge,
     flight: Arc<FlightRecorder>,
     telemetry: Telemetry,
@@ -325,13 +316,10 @@ impl Committer<'_> {
         }
         let at = Seconds::new(f64::from_bits(at_bits));
         self.clock = at;
-        let conn = self
-            .shared
+        self.shared
             .write()
             .expect("sharded state lock poisoned")
             .release(ConnectionId(id))?;
-        self.held[conn.spec.source.ring] -= conn.h_s.per_rotation().value();
-        self.held[conn.spec.dest.ring] -= conn.h_r.per_rotation().value();
         self.offer_sample(at);
         Ok(())
     }
@@ -365,8 +353,6 @@ impl Committer<'_> {
         self.recovery.reclaimed_s += report.reclaimed_s.value();
         self.recovery.reclaimed_r += report.reclaimed_r.value();
         for torn in &report.torn {
-            self.held[torn.spec.source.ring] -= torn.h_s.per_rotation().value();
-            self.held[torn.spec.dest.ring] -= torn.h_r.per_rotation().value();
             if let Some((arrival, departs_bits)) = self.live.remove(&torn.id.0) {
                 self.parked.push(Parked {
                     arrival,
@@ -400,14 +386,16 @@ impl Committer<'_> {
     }
 
     fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims: Vec<ConnectionId> = {
-            let guard = self.shared.read().expect("sharded state lock poisoned");
-            guard
-                .active_iter()
-                .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
-                .map(|c| c.id)
-                .collect()
-        };
+        let victims: Vec<ConnectionId> = self
+            .shared
+            .read()
+            .expect("sharded state lock poisoned")
+            .state()
+            .active()
+            .iter()
+            .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
+            .map(|c| c.id)
+            .collect();
         for id in victims {
             let conn = self
                 .shared
@@ -417,8 +405,6 @@ impl Committer<'_> {
             self.recovery.connections_dropped += 1;
             self.recovery.reclaimed_s += conn.h_s.per_rotation().value();
             self.recovery.reclaimed_r += conn.h_r.per_rotation().value();
-            self.held[conn.spec.source.ring] -= conn.h_s.per_rotation().value();
-            self.held[conn.spec.dest.ring] -= conn.h_r.per_rotation().value();
             if let Some((arrival, departs_bits)) = self.live.remove(&id.0) {
                 self.parked.push(Parked {
                     arrival,
@@ -443,13 +429,7 @@ impl Committer<'_> {
                 self.recovery.expired_in_park += 1;
                 continue;
             }
-            let a = self.schedule.arrivals[p.arrival];
-            let spec = ConnectionSpec::builder()
-                .source(a.source)
-                .dest(a.dest)
-                .envelope(Arc::clone(&self.envelope))
-                .deadline(a.deadline)
-                .build()?;
+            let spec = arrival_spec(self.cfg, &self.envelope, &self.schedule.arrivals[p.arrival])?;
             self.recovery.readmit_attempts += 1;
             let measured = self.decide_inline(&spec, now)?;
             let decision = self.commit(
@@ -472,7 +452,7 @@ impl Committer<'_> {
     }
 
     fn decide_inline(&mut self, spec: &ConnectionSpec, at: Seconds) -> Result<Measured, CacError> {
-        let (msg, ()) = decide_scoped(self.shared, self.cfg, spec, at, &mut self.inline_cache)?;
+        let msg = decide_scoped(self.shared, self.cfg, spec, at, &mut self.inline_cache)?;
         self.stats.inline_decisions += 1;
         self.inline_total.inc();
         let last = self.shard_gauges.len() - 1;
@@ -484,7 +464,7 @@ impl Committer<'_> {
             fast: msg.fast,
             trace: msg.trace,
             closure: msg.closure,
-            version: msg.version,
+            version: msg.footprint.version(),
             shard: None,
             conflict: false,
             spec_spans: None,
@@ -503,17 +483,13 @@ impl Committer<'_> {
         self.advance_to(a.at)?;
         self.stats.speculated += 1;
         self.shard_gauges[w].absorb(msg.cache);
-        self.ledger_version.set(msg.version as f64);
-        let conflicted = {
-            let guard = self.shared.read().expect("sharded state lock poisoned");
-            guard.conflicts(msg.version, &msg.footprint)
-        };
-        let spec = ConnectionSpec::builder()
-            .source(a.source)
-            .dest(a.dest)
-            .envelope(Arc::clone(&self.envelope))
-            .deadline(a.deadline)
-            .build()?;
+        self.ledger_version.set(msg.footprint.version() as f64);
+        let conflicted = self
+            .shared
+            .read()
+            .expect("sharded state lock poisoned")
+            .conflicts(&msg.footprint);
+        let spec = arrival_spec(self.cfg, &self.envelope, &a)?;
         let measured = if conflicted {
             self.stats.conflicts += 1;
             self.conflicts_total.inc();
@@ -531,7 +507,7 @@ impl Committer<'_> {
                 fast: msg.fast,
                 trace: msg.trace,
                 closure: msg.closure,
-                version: msg.version,
+                version: msg.footprint.version(),
                 shard: Some(w as u32),
                 conflict: false,
                 spec_spans: None,
@@ -550,9 +526,9 @@ impl Committer<'_> {
         Ok(())
     }
 
-    /// Applies one decided request: ledger commit, id reassignment (the
-    /// ledger's counter is authoritative — it equals the sequential
-    /// engine's), bookkeeping, and the audit append.
+    /// Applies one decided request: the shared state's commit (whose id
+    /// counter is authoritative — it equals the sequential engine's),
+    /// bookkeeping, and the audit append.
     fn commit(
         &mut self,
         at: Seconds,
@@ -596,8 +572,6 @@ impl Committer<'_> {
                     .write()
                     .expect("sharded state lock poisoned")
                     .commit_admit(spec, h_s, h_r, delay_bound)?;
-                self.held[spec.source.ring] += h_s.per_rotation().value();
-                self.held[spec.dest.ring] += h_r.per_rotation().value();
                 self.counters.admitted += 1;
                 self.departures.push(departure(departs, id));
                 self.live.insert(id.0, (arrival, departs.value().to_bits()));
@@ -677,28 +651,15 @@ impl Committer<'_> {
     }
 
     fn offer_sample(&mut self, at: Seconds) {
-        let active = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .active_count();
+        let shared = self.shared;
+        let guard = shared.read().expect("sharded state lock poisoned");
+        let state = guard.state();
+        let active = state.active().len();
         self.peak_active = self.peak_active.max(active);
         self.mx.set_active(active);
         self.telemetry.offer(at.value());
         let caps = &self.ring_caps;
-        let held = &self.held;
-        self.series.offer(at, active, || {
-            caps.iter()
-                .zip(held)
-                .map(|(&cap, &h)| {
-                    if cap > 0.0 {
-                        (h / cap).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        });
+        self.series.offer(at, active, || utilization(state, caps));
     }
 }
 
@@ -731,19 +692,15 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network.
+    /// match the network, the scheduler or class count is invalid, or
+    /// the config schedules reconfigurations.
     pub fn new(network: HetNetwork, cfg: &ServiceConfig, workers: usize) -> Result<Self, CacError> {
-        let shape = cfg.churn.shape;
-        if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
-        {
-            return Err(CacError::InvalidRequest(format!(
-                "churn shape {}x{} does not match network {}x{}",
-                shape.rings,
-                shape.hosts_per_ring,
-                network.rings().len(),
-                network.hosts_per_ring()
-            )));
-        }
+        let Prepared {
+            network,
+            schedule,
+            envelope,
+            faults,
+        } = prepare(network, cfg)?;
         if !cfg.reconfigs.is_empty() {
             return Err(CacError::InvalidRequest(
                 "the sharded engine does not support live reconfiguration; \
@@ -751,17 +708,6 @@ impl ShardedEngine {
                     .into(),
             ));
         }
-        let schedule = churn::generate(&cfg.churn);
-        let envelope: SharedEnvelope = Arc::new(schedule.source);
-        let faults = match &cfg.faults {
-            Some(f) if !schedule.arrivals.is_empty() => generate_faults(
-                f,
-                network.rings().len(),
-                network.backbone().link_count(),
-                schedule.span(),
-            ),
-            _ => Vec::new(),
-        };
         let registry = Arc::new(MetricsRegistry::new());
         let flight = Arc::new(FlightRecorder::new(
             cfg.obs.flight_capacity,
@@ -806,8 +752,8 @@ impl ShardedEngine {
     }
 
     /// Resumes from a checkpoint taken by either engine (the formats
-    /// are shared): the partitioned state is rebuilt from the flat
-    /// snapshot and the run continues from the checkpoint's cursors,
+    /// are shared): the state is restored from the snapshot and the run
+    /// continues from the checkpoint's cursors,
     /// producing the same remaining decisions.
     ///
     /// # Errors
@@ -835,9 +781,9 @@ impl ShardedEngine {
 
     /// Requests a checkpoint capture after `arrivals` more arrivals
     /// have committed; the checkpoint is returned by
-    /// [`ShardedEngine::run`]. Workers keep speculating while the cut
-    /// is taken — the ledger cut is consistent because only the
-    /// committer mutates.
+    /// [`ShardedEngine::run`]. Workers keep speculating while the
+    /// snapshot is taken — it is consistent because only the committer
+    /// mutates.
     #[must_use]
     pub fn checkpoint_after(mut self, arrivals: usize) -> Self {
         self.checkpoint_after = Some(arrivals);
@@ -855,26 +801,19 @@ impl ShardedEngine {
     pub fn run(self) -> Result<(ShardedRun, Option<EngineCheckpoint>), CacError> {
         let started = Instant::now();
         let workers = self.workers;
-        let sharded = match &self.resume {
-            None => ShardedState::new(Arc::clone(&self.net)),
-            Some(ckpt) => ShardedState::from_snapshot(Arc::clone(&self.net), &ckpt.state)?,
-        };
-        let shared = RwLock::new(sharded);
-        let ring_caps: Vec<f64> = self
-            .net
+        let mut state = NetworkState::new_shared(Arc::clone(&self.net));
+        if let Some(ckpt) = &self.resume {
+            state.restore(&ckpt.state)?;
+        }
+        // Measured against the state's budgets, which a restore may
+        // have retuned.
+        let ring_caps: Vec<f64> = state
+            .network()
             .rings()
             .iter()
             .map(|r| r.allocatable().value())
             .collect();
-        // Rebuild the per-ring held totals for the utilization series.
-        let mut held = vec![0.0f64; ring_caps.len()];
-        {
-            let guard = shared.read().expect("sharded state lock poisoned");
-            for c in guard.active_iter() {
-                held[c.spec.source.ring] += c.h_s.per_rotation().value();
-                held[c.spec.dest.ring] += c.h_r.per_rotation().value();
-            }
-        }
+        let shared = RwLock::new(ShardedState::new(state));
         let start_arrival = self.resume.as_ref().map_or(0, |c| c.next_arrival);
         let start_seq = self.resume.as_ref().map_or(0, |c| c.state.decision_seq);
 
@@ -948,7 +887,6 @@ impl ShardedEngine {
             attribution: DelayAttribution::default(),
             peak_active: 0,
             ring_caps,
-            held,
             stats: ShardingStats {
                 workers,
                 ..ShardingStats::default()
@@ -1012,22 +950,12 @@ impl ShardedEngine {
                             return; // committer gone (error path)
                         }
                         first = false;
-                        let a = schedule.arrivals[idx];
-                        let spec = match ConnectionSpec::builder()
-                            .source(a.source)
-                            .dest(a.dest)
-                            .envelope(Arc::clone(&envelope))
-                            .deadline(a.deadline)
-                            .build()
-                        {
-                            Ok(s) => s,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        };
-                        match decide_scoped(shared_ref, cfg, &spec, a.at, &mut cache) {
-                            Ok((mut msg, ())) => {
+                        let a = &schedule.arrivals[idx];
+                        let decided = arrival_spec(cfg, &envelope, a).and_then(|spec| {
+                            decide_scoped(shared_ref, cfg, &spec, a.at, &mut cache)
+                        });
+                        match decided {
+                            Ok(mut msg) => {
                                 msg.idx = idx;
                                 speculations.inc();
                                 spec_latency.observe(msg.latency.value());
@@ -1247,6 +1175,17 @@ mod tests {
         // Fault barriers force some conflicts under multiple workers…
         // but whatever the retry count, decisions already matched.
         assert!(sharded.report.audit_len as u64 >= 150);
+    }
+
+    #[test]
+    fn scheduler_and_classes_are_validated_like_the_sequential_engine() {
+        let cfg = smoke_cfg(10, 3).with_scheduler(
+            hetnet_cac::network::Scheduler::Drr { quanta: vec![3, 2] },
+            3,
+        );
+        let err = ShardedEngine::new(HetNetwork::paper_topology(), &cfg, 2).unwrap_err();
+        assert!(err.to_string().contains("classes 3 exceed"), "{err}");
+        assert!(ServiceEngine::new(HetNetwork::paper_topology(), &cfg).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! final state, replaying the same audit tail.
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
-use hetnet_cac::network::HetNetwork;
+use hetnet_cac::network::{HetNetwork, Scheduler};
 use hetnet_service::{
     entries_equivalent, run, runs_equivalent, sharded_runs_equivalent, ServiceConfig,
     ServiceEngine, ShardedEngine,
@@ -358,4 +358,66 @@ fn sharded_replay_pinned_grid() {
         sharded.sharding.peak_closure,
         sequential.report.peak_active
     );
+}
+
+/// The sharded engine installs the configured backbone scheduler and
+/// spreads connections over its traffic classes exactly as the
+/// sequential engine does: on a DRR `[3,2]` grid with two classes,
+/// every worker count replays the sequential run.
+#[test]
+fn sharded_replay_drr_classes() {
+    let cfg = grid_cfg(8, TrafficPattern::Paired, sized(80), 20260808)
+        .with_scheduler(Scheduler::Drr { quanta: vec![3, 2] }, 2);
+    let sequential = run(HetNetwork::grid(8, 3), &cfg).expect("sequential");
+    for workers in [1, 3] {
+        let (sharded, _) = ShardedEngine::new(HetNetwork::grid(8, 3), &cfg, workers)
+            .expect("engine")
+            .run()
+            .expect("run");
+        assert!(
+            runs_equivalent(&sharded, &sequential),
+            "workers={workers}: DRR sharded run diverged from sequential"
+        );
+    }
+}
+
+/// A loaded, faulted grid drives the commit path through rejections
+/// and conflict recomputes, and the committed stream still replays the
+/// sequential engine at every worker count. With one worker the
+/// conflict count is deterministic: the worker reads each speculation
+/// before the committer applies the departures and faults due ahead of
+/// that arrival, so any such event on the closure invalidates it.
+#[test]
+fn sharded_replay_loaded_faulted_grid_rejects_and_conflicts() {
+    let mut cfg = grid_cfg(8, TrafficPattern::Uniform, sized(120), 20260808);
+    cfg.churn.arrival_rate = 1.0;
+    cfg.churn.mean_holding = Seconds::new(40.0);
+    cfg.faults = Some(FaultConfig {
+        mean_gap: Seconds::new(10.0),
+        mean_outage: Seconds::new(5.0),
+        max_outage: Seconds::new(10.0),
+        shrink_factor: Some(0.85),
+        seed: 20260808 ^ 0x5eed,
+    });
+    let sequential = run(HetNetwork::grid(8, 3), &cfg).expect("sequential");
+    let rejected = sequential.report.counters.rejected();
+    for workers in [1, 3] {
+        let (sharded, _) = ShardedEngine::new(HetNetwork::grid(8, 3), &cfg, workers)
+            .expect("engine")
+            .run()
+            .expect("run");
+        assert!(
+            runs_equivalent(&sharded, &sequential),
+            "workers={workers}: loaded faulted grid diverged from sequential"
+        );
+        assert_eq!(sharded.report.recovery, sequential.report.recovery);
+        if workers == 1 {
+            assert!(
+                sharded.sharding.conflicts > 0,
+                "one worker must still see conflicts: {:?}",
+                sharded.sharding
+            );
+        }
+    }
+    assert!(rejected > 0, "the loaded grid must reject some requests");
 }

@@ -91,7 +91,7 @@ perfbench() {
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "==> perfbench correctness smoke (both workloads, untraced and traced, 0.1 s each)"
-    local workload trace out detail result
+    local workload trace out detail result sharded_digest=""
     for workload in grid_sharded grid_retune; do
         for trace in 0 1; do
             out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
@@ -106,9 +106,23 @@ perfbench() {
                 echo "FAIL: perfbench $workload --trace 1: traced digest differs: $detail"
                 exit 1
             fi
+            if [ "$workload" = grid_sharded ] && [ "$trace" = 0 ]; then
+                sharded_digest=$(grep -o '"digest": "[0-9a-f]*"' <<<"$detail")
+            fi
             echo "ok: $workload --trace $trace"
         done
     done
+
+    echo "==> perfbench worker-count neutrality (grid_sharded at one worker keeps the default run's digest)"
+    local one_worker
+    out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload grid_sharded --seed 1 --seconds 0.1 --trace 0 --workers 1)
+    one_worker=$(printf '%s\n' "$out" | tail -n 2 | head -n 1 | grep -o '"digest": "[0-9a-f]*"')
+    if [ -z "$sharded_digest" ] || [ "$one_worker" != "$sharded_digest" ]; then
+        echo "FAIL: grid_sharded --workers 1 $one_worker != default workers $sharded_digest"
+        exit 1
+    fi
+    echo "ok: grid_sharded --workers 1 $one_worker"
 }
 
 case "$stage" in
