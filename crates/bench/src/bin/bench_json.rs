@@ -89,22 +89,35 @@ struct Measured {
     sample: RegionSample,
 }
 
-fn measure(run: impl Fn() -> RegionSample, grid: usize, reps: usize) -> Measured {
-    let mut best = f64::INFINITY;
-    let mut sample = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let s = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        sample = Some(s);
+/// Times each arm best-of-`reps`, rotating which arm runs first every
+/// rep (as the `obs` section does): on a machine that slows down over
+/// the run, a fixed order would systematically penalize the arm that
+/// always runs last.
+fn measure_rotated<const N: usize>(
+    arms: [&dyn Fn() -> RegionSample; N],
+    grid: usize,
+    reps: usize,
+) -> [Measured; N] {
+    let mut best = [f64::INFINITY; N];
+    let mut samples: [Option<RegionSample>; N] = std::array::from_fn(|_| None);
+    for rep in 0..reps.max(1) {
+        for pos in 0..N {
+            let arm = (pos + rep) % N;
+            let start = Instant::now();
+            let s = arms[arm]();
+            best[arm] = best[arm].min(start.elapsed().as_secs_f64());
+            samples[arm] = Some(s);
+        }
     }
-    let sample = sample.expect("at least one rep");
-    Measured {
-        seconds: best,
-        cells_per_sec: (grid * grid) as f64 / best,
-        stats: sample.stats,
-        sample,
-    }
+    std::array::from_fn(|arm| {
+        let sample = samples[arm].take().expect("at least one rep");
+        Measured {
+            seconds: best[arm],
+            cells_per_sec: (grid * grid) as f64 / best[arm],
+            stats: sample.stats,
+            sample,
+        }
+    })
 }
 
 fn json_measured(m: &Measured, grid: usize, threads: usize) -> String {
@@ -256,7 +269,9 @@ fn main() {
     };
     let active: Vec<PathInput> = (0..8).map(background).collect();
     let avail = Seconds::from_millis(7.2);
-    let (grid, reps) = if quick { (9, 1) } else { (17, 3) };
+    // Quick mode's 9x9 sweeps take milliseconds, so one rep per arm left
+    // the threaded-beats-sequential gate at the mercy of scheduler noise.
+    let (grid, reps) = if quick { (9, 5) } else { (17, 3) };
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
 
     let dense = |threads: usize| {
@@ -272,17 +287,16 @@ fn main() {
         "region sweep: grid {grid}x{grid}, {} active, {threads} hw threads",
         active.len()
     );
-    let seq = measure(|| dense(1), grid, reps);
+    let [seq, par] = measure_rotated([&|| dense(1), &|| dense(threads)], grid, reps);
     eprintln!(
         "  dense sequential: {:.3} s ({:.1} cells/s, {} evals)",
         seq.seconds, seq.cells_per_sec, seq.sample.evals
     );
-    let par = measure(|| dense(threads), grid, reps);
     eprintln!(
         "  dense parallel:   {:.3} s ({:.1} cells/s, {} evals)",
         par.seconds, par.cells_per_sec, par.sample.evals
     );
-    let fro = measure(frontier, grid, reps);
+    let [fro] = measure_rotated([&frontier], grid, reps);
     eprintln!(
         "  frontier:         {:.3} s ({:.1} cells/s, {} evals, fell_back: {})",
         fro.seconds, fro.cells_per_sec, fro.sample.evals, fro.sample.fell_back

@@ -472,7 +472,23 @@ pub struct Sampled {
     /// envelope's corners, keeping candidate sets from compounding.
     natural: Vec<f64>,
     horizon: f64,
+    /// Bucket index over `[0, horizon]`: slot `k` covers
+    /// `[k / scale, (k + 1) / scale)` and holds the first index of `ts`
+    /// whose time is at or after the slot's start. One slot per
+    /// [`SAMPLES_PER_SLOT`] samples.
+    slots: Vec<u32>,
+    /// Slots per second: `slots.len() / horizon`.
+    scale: f64,
 }
+
+/// Samples per bucket-index slot in [`Sampled`]: the index costs a
+/// quarter of a `u32` per sample.
+const SAMPLES_PER_SLOT: usize = 4;
+
+/// Forward-scan steps from a slot's first sample before a lookup
+/// binary-searches the rest of the slot (many breakpoints crowded into
+/// one slot).
+const MAX_SCAN: usize = 8;
 
 impl Sampled {
     /// Flattens `inner` over `[0, horizon]`, sampling at its candidate
@@ -518,12 +534,72 @@ impl Sampled {
             }
         }
         natural.dedup_by(|a, b| approx::approx_eq(*a, *b));
+        let horizon = horizon.value();
+        let (slots, scale) = Self::bucket_index(&ts, horizon);
         Self {
             inner,
             ts,
             vals,
             natural,
-            horizon: horizon.value(),
+            horizon,
+            slots,
+            scale,
+        }
+    }
+
+    /// Builds the bucket index of `ts` over `[0, horizon]`.
+    fn bucket_index(ts: &[f64], horizon: f64) -> (Vec<u32>, f64) {
+        let n = (ts.len() / SAMPLES_PER_SLOT).max(1);
+        let scale = n as f64 / horizon;
+        let mut slots = Vec::with_capacity(n);
+        let mut first = 0;
+        for k in 0..n {
+            let start = k as f64 / scale;
+            while first < ts.len() && ts[first].total_cmp(&start).is_lt() {
+                first += 1;
+            }
+            slots.push(u32::try_from(first).expect("sample table fits a u32 index"));
+        }
+        (slots, scale)
+    }
+
+    /// `ts.binary_search_by(|t| t.total_cmp(&i))` for a query `i` of
+    /// `arrivals` (not above the horizon, but possibly `-0.0` or NaN of
+    /// either sign), found through the bucket index: scan forward from
+    /// the first sample of `i`'s slot. Rounding can put `i` just before
+    /// its slot's start; a crowded slot binary-searches the rest of its
+    /// range after [`MAX_SCAN`] steps.
+    fn position(&self, i: f64) -> Result<usize, usize> {
+        let ts = &self.ts;
+        let below = |t: &f64| t.total_cmp(&i).is_lt();
+        // Saturating (NaN maps to slot 0); a `u32` cast is cheaper than a
+        // `usize` one, and the slot count fits a `u32`.
+        let k = ((i * self.scale) as u32 as usize).min(self.slots.len() - 1);
+        let first = self.slots[k] as usize;
+        let at = if first > 0 && !below(&ts[first - 1]) {
+            ts[..first].partition_point(below)
+        } else {
+            let end = (first + MAX_SCAN).min(ts.len());
+            let mut at = first;
+            while at < end && below(&ts[at]) {
+                at += 1;
+            }
+            if at == end {
+                // Samples from the next slot's first one on are not below
+                // `i`, unless rounding put `i` past that slot's start.
+                let next = self.slots.get(k + 1).map_or(ts.len(), |&s| s as usize);
+                let hi = match ts.get(next) {
+                    Some(t) if next >= at && !below(t) => next,
+                    _ => ts.len(),
+                };
+                at + ts[at..hi].partition_point(below)
+            } else {
+                at
+            }
+        };
+        match ts.get(at) {
+            Some(t) if t.total_cmp(&i).is_eq() => Ok(at),
+            _ => Err(at),
         }
     }
 
@@ -563,7 +639,7 @@ impl Envelope for Sampled {
         if i > self.horizon || self.ts.is_empty() {
             return self.inner.arrivals(interval);
         }
-        match self.ts.binary_search_by(|t| t.total_cmp(&i)) {
+        match self.position(i) {
             Ok(idx) => Bits::new(self.vals[idx]),
             Err(0) => Bits::new(self.vals[0]),
             Err(idx) if idx >= self.ts.len() => Bits::new(*self.vals.last().expect("non-empty")),

@@ -281,6 +281,149 @@ fn sorted_breakpoint_bits(env: &SharedEnvelope, horizon: Seconds) -> Vec<u64> {
     pts.iter().map(|p| p.value().to_bits()).collect()
 }
 
+/// `Sampled::arrivals` as a plain binary search of the sample table:
+/// the lookup its bucket index must reproduce bit for bit. `inner` is the
+/// flattened envelope, which answers queries beyond the horizon.
+fn binary_search_arrivals(flat: &Sampled, inner: &dyn Envelope, interval: Seconds) -> Bits {
+    let (ts, vals) = flat.samples();
+    let i = interval.clamp_min_zero().value();
+    if i > flat.horizon() || ts.is_empty() {
+        return inner.arrivals(interval);
+    }
+    match ts.binary_search_by(|t| t.total_cmp(&i)) {
+        Ok(idx) => Bits::new(vals[idx]),
+        Err(0) => Bits::new(vals[0]),
+        Err(idx) if idx >= ts.len() => Bits::new(*vals.last().expect("non-empty")),
+        Err(idx) => {
+            let (t0, t1) = (ts[idx - 1], ts[idx]);
+            let (v0, v1) = (vals[idx - 1], vals[idx]);
+            let frac = if t1 > t0 { (i - t0) / (t1 - t0) } else { 0.0 };
+            Bits::new(v0 + frac * (v1 - v0))
+        }
+    }
+}
+
+/// Lookup queries for a flattened table: every sample and its ±1-ulp
+/// neighbours, the midpoints between samples, `±0.0`, negatives, `±∞`,
+/// NaN of both signs, the horizon and a point beyond it. `Seconds::new`
+/// refuses non-finite values, so those are reached by arithmetic.
+fn lookup_queries(flat: &Sampled) -> Vec<Seconds> {
+    let (ts, _) = flat.samples();
+    let h = flat.horizon();
+    let max = Seconds::new(f64::MAX);
+    let inf = max + max;
+    let nan = inf + -inf;
+    let mut q = vec![
+        Seconds::ZERO,
+        -Seconds::ZERO,
+        Seconds::new(-1.0e-3),
+        Seconds::new(-h),
+        inf,
+        -inf,
+        nan,
+        -nan,
+        Seconds::new(h),
+        Seconds::new(h.next_down()),
+        Seconds::new(h.next_up()),
+        Seconds::new(h * 1.5 + 1.0e-3),
+    ];
+    for (k, &t) in ts.iter().enumerate() {
+        q.extend([t, t.next_down(), t.next_up()].map(Seconds::new));
+        if let Some(&next) = ts.get(k + 1) {
+            q.push(Seconds::new(0.5 * (t + next)));
+        }
+    }
+    q
+}
+
+/// `lookup`'s result bits, or `None` if it panics: `+∞` lies beyond the
+/// horizon, so it falls through to the inner envelope, which refuses it.
+fn lookup_bits(lookup: impl FnOnce() -> Bits) -> Option<u64> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(lookup))
+        .ok()
+        .map(|b| b.value().to_bits())
+}
+
+/// Asserts `Sampled::flatten(inner, horizon, subdivisions)` answers every
+/// lookup query with exactly the binary search's bits.
+fn assert_lookup_matches_binary_search(
+    inner: &SharedEnvelope,
+    horizon: Seconds,
+    subdivisions: usize,
+) {
+    let flat = Sampled::flatten(Arc::clone(inner), horizon, subdivisions);
+    for q in lookup_queries(&flat) {
+        assert_eq!(
+            lookup_bits(|| flat.arrivals(q)),
+            lookup_bits(|| binary_search_arrivals(&flat, &**inner, q)),
+            "query {:?} ({:#x}) on {} samples over {} s: {:?}",
+            q,
+            q.value().to_bits(),
+            flat.len(),
+            horizon.value(),
+            inner
+        );
+    }
+}
+
+/// An envelope to flatten: a dual-periodic source, a hop-chain root
+/// (leaky bucket, periodic or `Sampled`), or `RateCapped(Delayed(root))`.
+fn lookup_inner_strategy() -> impl Strategy<Value = SharedEnvelope> {
+    (
+        0_usize..3,
+        dual_periodic_strategy(),
+        chain_root_strategy(),
+        0.0_f64..10.0,  // delay in ms
+        1.05_f64..20.0, // cap over the root's sustained rate
+    )
+        .prop_map(|(kind, dual, root, delay_ms, cap_mul)| -> SharedEnvelope {
+            match kind {
+                0 => Arc::new(dual),
+                1 => root,
+                _ => {
+                    let cap = root.sustained_rate() * cap_mul;
+                    let delayed = Arc::new(Delayed::new(root, Seconds::from_millis(delay_ms)));
+                    Arc::new(RateCapped::new(delayed, cap))
+                }
+            }
+        })
+}
+
+/// A staircase whose breakpoints all crowd into the start of the
+/// flattening horizon: one bucket-index slot holds nearly every sample,
+/// so a lookup there takes the binary-search fallback.
+#[derive(Debug)]
+struct Crowded {
+    steps: Vec<f64>,
+    step_bits: f64,
+    rate: f64,
+}
+
+impl Envelope for Crowded {
+    fn arrivals(&self, interval: Seconds) -> Bits {
+        let i = interval.clamp_min_zero().value();
+        let passed = self.steps.partition_point(|&t| t <= i);
+        Bits::new(self.step_bits * (passed + 1) as f64 + self.rate * i)
+    }
+
+    fn sustained_rate(&self) -> BitsPerSec {
+        BitsPerSec::new(self.rate)
+    }
+
+    fn peak_rate(&self) -> BitsPerSec {
+        BitsPerSec::new(f64::MAX)
+    }
+
+    fn breakpoints(&self, horizon: Seconds, out: &mut Vec<Seconds>) {
+        out.extend(
+            self.steps
+                .iter()
+                .filter(|&&t| t <= horizon.value())
+                .map(|&t| Seconds::new(t)),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -454,6 +597,32 @@ proptest! {
                 h_ms
             );
         }
+    }
+
+    /// The bucket-indexed lookup returns the binary search's bits for
+    /// every query on random flattenings and hop chains.
+    #[test]
+    fn sampled_lookup_matches_binary_search_bits(
+        inner in lookup_inner_strategy(),
+        horizon_ms in 0.5_f64..400.0,
+        subdivisions in 0_usize..4,
+    ) {
+        assert_lookup_matches_binary_search(&inner, Seconds::from_millis(horizon_ms), subdivisions);
+    }
+
+    /// Breakpoints crowded into one slot: the fallback search inside a
+    /// long slot range returns the binary search's bits too.
+    #[test]
+    fn sampled_lookup_matches_binary_search_bits_in_one_crowded_slot(
+        count in 20_usize..200,
+        first_us in 0.5_f64..5.0,
+        spacing_us in 0.05_f64..2.0,
+        horizon_s in 0.5_f64..5.0,
+        subdivisions in 0_usize..3,
+    ) {
+        let steps = (0..count).map(|k| (first_us + spacing_us * k as f64) * 1.0e-6).collect();
+        let inner: SharedEnvelope = Arc::new(Crowded { steps, step_bits: 424.0, rate: 1.0e6 });
+        assert_lookup_matches_binary_search(&inner, Seconds::new(horizon_s), subdivisions);
     }
 
     /// Aggregating N identical flows scales arrivals by N.

@@ -87,15 +87,27 @@ perfbench() {
     # not run here yet: at `--seconds 0.01` `grid_retune` records no
     # timed decision and the check panics on an empty sample. The smoke
     # runs below use `--seconds 0.1`, which decides enough requests.
+    #
+    # Decision-digest pins: a run's `digest` hashes every decision it
+    # makes with the exact bits of each admission's allocations and
+    # delay bound, so a change that moves any of those bits fails here,
+    # not just one that flips an admit or reject. The pins assume x86-64
+    # floating point and the decision stream of the analysis as it
+    # stands; a change meant to alter decisions re-pins them in the same
+    # commit.
+    local sharded_pin=d7fb7e9a6c19f3a5 retune_pin=c92aeca284f88228
+    local pb=(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml --)
+    # The `"digest"` field of a run's detail line (the second-to-last).
+    digest_of() { printf '%s\n' "$1" | tail -n 2 | head -n 1 | grep -o '"digest": "[0-9a-f]*"' | grep -o '[0-9a-f]\{16\}'; }
+
     echo "==> perfbench unit tests (admission benchmark package builds against the workspace)"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "==> perfbench correctness smoke (both workloads, untraced and traced, 0.1 s each)"
-    local workload trace out detail result sharded_digest=""
+    local workload trace out detail result digest
     for workload in grid_sharded grid_retune; do
         for trace in 0 1; do
-            out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-                --workload "$workload" --seed 1 --seconds 0.1 --trace "$trace")
+            out=$("${pb[@]}" --workload "$workload" --seed 1 --seconds 0.1 --trace "$trace")
             detail=$(printf '%s\n' "$out" | tail -n 2 | head -n 1)
             result=$(printf '%s\n' "$out" | tail -n 1)
             if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
@@ -106,23 +118,39 @@ perfbench() {
                 echo "FAIL: perfbench $workload --trace 1: traced digest differs: $detail"
                 exit 1
             fi
-            if [ "$workload" = grid_sharded ] && [ "$trace" = 0 ]; then
-                sharded_digest=$(grep -o '"digest": "[0-9a-f]*"' <<<"$detail")
+            if [ "$workload" = grid_sharded ]; then
+                digest=$(digest_of "$out")
+                if [ "$digest" != "$sharded_pin" ]; then
+                    echo "FAIL: grid_sharded --trace $trace digest ${digest:-missing} != pinned $sharded_pin"
+                    exit 1
+                fi
             fi
             echo "ok: $workload --trace $trace"
         done
     done
 
-    echo "==> perfbench worker-count neutrality (grid_sharded at one worker keeps the default run's digest)"
-    local one_worker
-    out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload grid_sharded --seed 1 --seconds 0.1 --trace 0 --workers 1)
-    one_worker=$(printf '%s\n' "$out" | tail -n 2 | head -n 1 | grep -o '"digest": "[0-9a-f]*"')
-    if [ -z "$sharded_digest" ] || [ "$one_worker" != "$sharded_digest" ]; then
-        echo "FAIL: grid_sharded --workers 1 $one_worker != default workers $sharded_digest"
+    echo "==> perfbench worker-count neutrality (grid_sharded at one worker keeps the pinned digest)"
+    out=$("${pb[@]}" --workload grid_sharded --seed 1 --seconds 0.1 --trace 0 --workers 1)
+    digest=$(digest_of "$out")
+    if [ "$digest" != "$sharded_pin" ]; then
+        echo "FAIL: grid_sharded --workers 1 digest ${digest:-missing} != pinned $sharded_pin"
         exit 1
     fi
-    echo "ok: grid_sharded --workers 1 $one_worker"
+    echo "ok: grid_sharded --workers 1 digest $digest"
+
+    echo "==> perfbench retune pin (grid_retune 1 s: 550 requests through 7 TTRT retunes and 7 teardowns)"
+    out=$("${pb[@]}" --workload grid_retune --seed 1 --seconds 1 --trace 0)
+    result=$(printf '%s\n' "$out" | tail -n 1)
+    digest=$(digest_of "$out")
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "FAIL: perfbench grid_retune --seconds 1: $result"
+        exit 1
+    fi
+    if [ "$digest" != "$retune_pin" ]; then
+        echo "FAIL: grid_retune --seconds 1 digest ${digest:-missing} != pinned $retune_pin"
+        exit 1
+    fi
+    echo "ok: grid_retune --seconds 1 digest $digest"
 }
 
 case "$stage" in
