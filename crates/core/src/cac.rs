@@ -85,8 +85,11 @@ impl Default for CacConfig {
 
 impl CacConfig {
     /// A cheaper configuration for large simulation campaigns: fewer
-    /// search iterations and the fast evaluation profile. Decisions are
-    /// identical in kind, slightly coarser in the allocation split.
+    /// search iterations and the fast evaluation profile. The sampled
+    /// bounds of [`EvalConfig::fast`] can under-estimate finer ones, so
+    /// decisions can differ, not just the allocation split: feasibility
+    /// differed on 11 of 150 random path sets in the ROADMAP's
+    /// measurement (item 1).
     #[must_use]
     pub fn fast() -> Self {
         Self {
@@ -166,49 +169,6 @@ impl From<CacConfig> for AdmissionOptions {
     /// A bare [`CacConfig`] means β-search, the common case.
     fn from(cac: CacConfig) -> Self {
         Self::beta_search(cac)
-    }
-}
-
-/// One completed admission decision, as seen by a
-/// [`DecisionObserver`].
-#[derive(Debug)]
-pub struct DecisionRecord<'a> {
-    /// 0-based sequence number (counts every completed
-    /// [`NetworkState::admit`], admitted or rejected).
-    pub seq: u64,
-    /// The state's logical clock at decision time
-    /// ([`NetworkState::set_clock`]); `Seconds::ZERO` if never set.
-    pub at: Seconds,
-    /// The request that was decided.
-    pub spec: &'a ConnectionSpec,
-    /// The verdict.
-    pub decision: &'a Decision,
-    /// Evaluator cache statistics of this decision's line searches
-    /// (all-zero for fixed-allocation admissions, which run a single
-    /// uncached evaluation).
-    pub cache: CacheStats,
-    /// Fast-ladder probe counters of this decision's β search
-    /// (all-zero when the fast path is off or the allocation is fixed).
-    pub fast_path: FastPathStats,
-    /// The decision's structured explanation — present iff
-    /// [`NetworkState::set_decision_tracing`] is on.
-    pub trace: Option<&'a DecisionTrace>,
-}
-
-/// Callback invoked after every completed admission decision — the
-/// metrics hook the service layer builds its audit log on. Observers
-/// see rejections too; errors (`Err` from [`NetworkState::admit`])
-/// produce no record because no decision was reached.
-pub trait DecisionObserver: Send + Sync {
-    /// Called once per decision, in decision order.
-    fn on_decision(&mut self, record: &DecisionRecord<'_>);
-
-    /// Called once per completed [`NetworkState::reconfigure`], which
-    /// consumes one decision sequence number (`seq`) like an admission
-    /// does — observers tracking the gap-free sequence advance here
-    /// too. The default does nothing.
-    fn on_reconfig(&mut self, seq: u64, report: &ReconfigReport) {
-        let _ = (seq, report);
     }
 }
 
@@ -381,11 +341,10 @@ pub struct NetworkState {
     /// Components currently marked down by fault injection; requests
     /// whose path crosses one are rejected without evaluation.
     down: BTreeSet<Component>,
-    /// Logical event clock stamped onto [`DecisionRecord`]s.
+    /// Logical event clock stamped onto decision traces.
     clock: Seconds,
     /// Completed decisions (admit or reject) so far.
     decision_seq: u64,
-    observer: Option<Box<dyn DecisionObserver>>,
     /// Whether [`NetworkState::admit`] assembles a [`DecisionTrace`]
     /// per decision. Off by default: the hot path stays allocation-free.
     trace_decisions: bool,
@@ -487,7 +446,6 @@ impl fmt::Debug for NetworkState {
             .field("down", &self.down)
             .field("clock", &self.clock)
             .field("decision_seq", &self.decision_seq)
-            .field("observer", &self.observer.as_ref().map(|_| "<hook>"))
             .field("trace_decisions", &self.trace_decisions)
             .finish()
     }
@@ -522,7 +480,6 @@ impl NetworkState {
             down: BTreeSet::new(),
             clock: Seconds::ZERO,
             decision_seq: 0,
-            observer: None,
             trace_decisions: false,
             last_trace: None,
         }
@@ -530,9 +487,8 @@ impl NetworkState {
 
     /// Turns per-decision [`DecisionTrace`] assembly on or off. When
     /// on, every completed [`NetworkState::admit`] stores its trace
-    /// ([`NetworkState::last_decision_trace`]) and hands it to the
-    /// installed [`DecisionObserver`]; when off (the default) the
-    /// admission path builds nothing.
+    /// ([`NetworkState::last_decision_trace`]); when off (the default)
+    /// the admission path builds nothing.
     pub fn set_decision_tracing(&mut self, enabled: bool) {
         self.trace_decisions = enabled;
         if !enabled {
@@ -547,8 +503,8 @@ impl NetworkState {
         self.last_trace.as_ref()
     }
 
-    /// Sets the logical clock stamped onto subsequent
-    /// [`DecisionRecord`]s. Event-driven callers (the service layer)
+    /// Sets the logical clock stamped onto subsequent decision traces.
+    /// Event-driven callers (the service layer)
     /// advance this to the event timestamp before each
     /// [`NetworkState::admit`]; it has no effect on decisions.
     pub fn set_clock(&mut self, now: Seconds) {
@@ -568,17 +524,11 @@ impl NetworkState {
         self.decision_seq
     }
 
-    /// Installs (or clears) the per-decision metrics callback. The
-    /// observer sees every completed decision in order; it cannot
-    /// influence them.
-    pub fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
-        self.observer = observer;
-    }
-
-    /// Removes and returns the installed observer, if any.
-    #[must_use]
-    pub fn take_observer(&mut self) -> Option<Box<dyn DecisionObserver>> {
-        self.observer.take()
+    /// Counts a decision taken over a scoped copy of this state
+    /// ([`crate::shard::ShardedState::commit`]) into this state's
+    /// sequence, as [`NetworkState::admit`] counts its own.
+    pub(crate) fn count_decision(&mut self) {
+        self.decision_seq += 1;
     }
 
     /// Enables (or disables) carrying the evaluator's caches across
@@ -620,16 +570,19 @@ impl NetworkState {
         self.fast_path
     }
 
-    /// Fast-path probe counters of the most recent β-search
+    /// Fast-path probe counters of the most recent
     /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// when the fast path is disabled).
+    /// when the fast path is disabled or the allocation is fixed).
     #[must_use]
     pub fn last_fast_path_stats(&self) -> Option<FastPathStats> {
         self.last_fast_stats
     }
 
     /// Cache hit/miss counters of the evaluator used by the most recent
-    /// β-search [`NetworkState::admit`] call (`None` before the first).
+    /// [`NetworkState::admit`] call (`None` before the first; all-zero
+    /// for a fixed allocation, which runs one uncached evaluation). A
+    /// β-search rejected before its line search (a down component, an
+    /// exhausted ring) reports the previous search's counters.
     /// Benchmarks and the experiment harness use this to report how much
     /// of each admission's line search was served incrementally.
     #[must_use]
@@ -830,8 +783,11 @@ impl NetworkState {
     /// point subsuming the legacy [`NetworkState::request`] (β-search)
     /// and [`NetworkState::request_fixed`] (fixed pair) split. On
     /// admission, the allocations are recorded and the connection
-    /// becomes active; the installed [`DecisionObserver`], if any, sees
-    /// the decision either way.
+    /// becomes active. Either way the decision's cache and fast-path
+    /// counters ([`NetworkState::last_cache_stats`],
+    /// [`NetworkState::last_fast_path_stats`]) and, when tracing, its
+    /// trace ([`NetworkState::last_decision_trace`]) are left for the
+    /// caller to read.
     ///
     /// # Errors
     ///
@@ -844,9 +800,6 @@ impl NetworkState {
         opts: &AdmissionOptions,
     ) -> Result<Decision, CacError> {
         let _admit_span = obs::span("admit");
-        // Keep a (cheap: Arc + copies) clone of the spec for the
-        // observer; the impls consume `spec` on admission.
-        let observed_spec = self.observer.is_some().then(|| spec.clone());
         let result = match opts.allocation {
             AllocationPolicy::BetaSearch => self.admit_beta(spec, &opts.cac),
             AllocationPolicy::Fixed { h_s, h_r } => self.admit_fixed(spec, h_s, h_r, &opts.cac),
@@ -868,6 +821,8 @@ impl NetworkState {
             AllocationPolicy::BetaSearch => self.last_fast_stats.unwrap_or_default(),
             AllocationPolicy::Fixed { .. } => FastPathStats::default(),
         };
+        self.last_cache_stats = Some(cache);
+        self.last_fast_stats = Some(fast_path);
         // `parts` is `Some` iff tracing is on, so a disabled state never
         // retains a stale trace.
         self.last_trace = parts.map(|p| DecisionTrace {
@@ -897,20 +852,6 @@ impl NetworkState {
                 ),
             ],
         );
-        if let Some(spec) = observed_spec {
-            if let Some(mut hook) = self.observer.take() {
-                hook.on_decision(&DecisionRecord {
-                    seq,
-                    at: self.clock,
-                    spec: &spec,
-                    decision: &decision,
-                    cache,
-                    fast_path,
-                    trace: self.last_trace.as_ref(),
-                });
-                self.observer = Some(hook);
-            }
-        }
         Ok(decision)
     }
 
@@ -1510,8 +1451,8 @@ impl NetworkState {
     /// Records an admission at the id a decision on this state would
     /// assign next. The admit paths commit through this, and so does
     /// the sharded engine for decisions taken over a scoped copy of
-    /// this state ([`crate::shard::ShardedState::commit_admit`]). It
-    /// decides nothing and notifies no observer.
+    /// this state ([`crate::shard::ShardedState::commit`]). It decides
+    /// nothing and counts no decision.
     ///
     /// # Errors
     ///
@@ -1770,8 +1711,8 @@ impl NetworkState {
     /// [`NetworkState::reconfigure`]), the rings are retuned to match
     /// before the tables are rebuilt, so recovery lands on the
     /// reconfigured timing. The evaluator cache and last-decision trace
-    /// are cleared (both are decision-neutral); the installed observer
-    /// and tracing flag are left untouched.
+    /// are cleared (both are decision-neutral); the tracing flag is
+    /// left untouched.
     ///
     /// # Errors
     ///
@@ -1881,11 +1822,10 @@ impl NetworkState {
     /// departure bookkeeping above the core never sees an id reused.
     ///
     /// The membership index is rebuilt by the renegotiations' commits;
-    /// the evaluator cache is dropped wholesale (its keys do not span ring parameters). The
-    /// reconfiguration consumes one decision sequence number and
-    /// reaches the observer via
-    /// [`DecisionObserver::on_reconfig`], so audit logs built on the
-    /// sequence stay gap-free.
+    /// the evaluator cache is dropped wholesale (its keys do not span
+    /// ring parameters). The reconfiguration consumes one decision
+    /// sequence number, so audit logs built on the sequence stay
+    /// gap-free.
     ///
     /// # Errors
     ///
@@ -1972,11 +1912,13 @@ impl NetworkState {
                 ("dropped", obs::FieldValue::U64(report.dropped.len() as u64)),
             ],
         );
-        if let Some(mut hook) = self.observer.take() {
-            hook.on_reconfig(seq, &report);
-            self.observer = Some(hook);
-        }
         Ok(report)
+    }
+
+    /// The number of connections in the dependency closure of `seeds`
+    /// ([`NetworkState::read_closure`] without the copy).
+    pub(crate) fn closure_len(&self, seeds: impl IntoIterator<Item = MuxKey>) -> usize {
+        self.index.closure(seeds).1.len()
     }
 
     /// Copies out the dependency closure of the multiplexers `seeds` —
@@ -2632,42 +2574,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_decision_with_clock_and_seq() {
-        use std::sync::Mutex;
-        struct Recorder(Arc<Mutex<Vec<(u64, f64, bool)>>>);
-        impl DecisionObserver for Recorder {
-            fn on_decision(&mut self, r: &DecisionRecord<'_>) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((r.seq, r.at.value(), r.decision.is_admitted()));
-            }
-        }
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut s = state();
-        let cfg = CacConfig::fast();
-        s.set_observer(Some(Box::new(Recorder(Arc::clone(&seen)))));
-        s.set_clock(Seconds::new(1.5));
-        assert!(s
-            .admit(spec((0, 0), (1, 0), 100.0), &cfg.clone().into())
-            .unwrap()
-            .is_admitted());
-        s.set_clock(Seconds::new(2.5));
-        assert!(!s
-            .admit(spec((0, 1), (1, 1), 1.0), &cfg.clone().into())
-            .unwrap()
-            .is_admitted());
-        assert_eq!(s.decisions(), 2);
-        assert_eq!(s.clock(), Seconds::new(2.5));
-        let _obs = s.take_observer().expect("installed above");
-        assert!(s.take_observer().is_none());
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (0, 1.5, true));
-        assert_eq!(seen[1], (1, 2.5, false));
-    }
-
-    #[test]
     fn decision_tracing_explains_admits_and_rejects() {
         let mut s = state();
         let cfg = CacConfig::fast();
@@ -2795,37 +2701,6 @@ mod tests {
         assert!(t.admitted && t.binding.is_none());
         assert_eq!(t.cache, CacheStats::default());
         assert!(t.candidate().unwrap().id.is_some());
-    }
-
-    #[test]
-    fn observer_receives_the_trace_when_tracing() {
-        use std::sync::Mutex;
-        type Seen = Arc<Mutex<Vec<(u64, bool, Option<String>)>>>;
-        struct Recorder(Seen);
-        impl DecisionObserver for Recorder {
-            fn on_decision(&mut self, r: &DecisionRecord<'_>) {
-                self.0.lock().unwrap().push((
-                    r.seq,
-                    r.trace.is_some(),
-                    r.trace
-                        .and_then(|t| t.binding.as_ref())
-                        .map(|b| b.kind().to_string()),
-                ));
-            }
-        }
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut s = state();
-        let cfg = CacConfig::fast();
-        s.set_observer(Some(Box::new(Recorder(Arc::clone(&seen)))));
-        s.admit(spec((0, 0), (1, 0), 100.0), &cfg.clone().into())
-            .unwrap();
-        s.set_decision_tracing(true);
-        s.admit(spec((0, 1), (1, 1), 1.0), &cfg.clone().into())
-            .unwrap();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (0, false, None));
-        assert_eq!(seen[1], (1, true, Some("deadline".into())));
     }
 
     #[test]

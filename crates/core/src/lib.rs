@@ -84,8 +84,8 @@ pub mod snapshot;
 pub mod trace;
 
 pub use cac::{
-    AdmissionOptions, AllocationPolicy, CacConfig, Decision, DecisionObserver, DecisionRecord,
-    EvalCacheCaps, NetworkState, RejectReason, TeardownReport,
+    AdmissionOptions, AllocationPolicy, CacConfig, Decision, EvalCacheCaps, NetworkState,
+    RejectReason, TeardownReport,
 };
 pub use connection::{ConnectionId, ConnectionSpec, ConnectionSpecBuilder};
 pub use error::CacError;

@@ -5,19 +5,22 @@
 //! multiplexers with, so the sharded engine decides each arrival on a
 //! small scoped copy of the admitted state and commits the outcome back
 //! into the one shared state. [`ShardedState`] is that shared state: a
-//! [`NetworkState`] plus the record that makes optimistic concurrency
-//! sound — a version counter, a barrier, and a window of recent commit
-//! footprints.
+//! [`NetworkState`] and the admission options in force, plus the record
+//! that makes optimistic concurrency sound — a version counter, a
+//! barrier, and a window of recent commit footprints. The sequential
+//! engine owns one too and decides on it in place; it just never reads
+//! the log.
 //!
-//! A decision runs in three steps:
+//! A speculated decision runs in three steps:
 //!
 //! 1. **Speculate** ([`ShardedState::speculate`]): read the candidate's
 //!    *dependency closure* off the state's multiplexer-membership index
 //!    — the least set of active connections containing every flow on
 //!    the candidate's multiplexers and on its endpoint rings' uplinks
 //!    and downlinks, closed under "shares a multiplexer with" — as a
-//!    scoped [`NetworkState`], with its [`Footprint`]: the multiplexers
-//!    it covers and the version it was read at.
+//!    scoped [`NetworkState`], with the options in force and its
+//!    [`Footprint`]: the multiplexers it covers and the version it was
+//!    read at.
 //! 2. **Decide**: run the ordinary β-CAC admission on the scoped state.
 //!    Decisions over the closure are *bit-identical* to decisions over
 //!    the full state (the §12 argument in `DESIGN.md`): the closure
@@ -26,26 +29,26 @@
 //!    multiplexer aggregates, and existing-flow delay bounds come out to
 //!    the same bits, and flows outside the closure are unaffected by the
 //!    candidate and already feasible.
-//! 3. **Commit** ([`ShardedState::commit_admit`]): re-validate the
+//! 3. **Commit** ([`ShardedState::commit`]): re-validate the
 //!    speculation ([`ShardedState::conflicts`] — any commit since the
 //!    footprint's version touching one of its multiplexers invalidates
-//!    it) and record it. Conflicted speculations are recomputed
-//!    sequentially by the committer, so the committed decision stream
+//!    it) and record it. Conflicted speculations are decided again in
+//!    place ([`ShardedState::admit`]), so the committed decision stream
 //!    is always the sequential one.
 //!
 //! Every mutation goes through this type, which logs it as it applies
 //! it: admissions and departures log their multiplexers, and down-set
-//! changes raise a *barrier* (every in-flight speculation conflicts),
-//! because component health gates decisions globally.
+//! changes and reconfigurations raise a *barrier* (every in-flight
+//! speculation conflicts), because component health, ring parameters
+//! and β gate decisions globally.
 
-use crate::cac::{ClosureCopy, NetworkState, TeardownReport};
+use crate::cac::{AdmissionOptions, ClosureCopy, Decision, NetworkState, TeardownReport};
 use crate::connection::{ActiveConnection, ConnectionId, ConnectionSpec};
 use crate::delay::MuxKey;
 use crate::error::CacError;
 use crate::incremental::hops_for;
 use crate::network::{Component, HostId};
-use crate::snapshot::StateSnapshot;
-use hetnet_fddi::ring::SyncBandwidth;
+use crate::reconfig::{ReconfigPlan, ReconfigReport};
 use hetnet_traffic::units::Seconds;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::RwLock;
@@ -61,13 +64,17 @@ struct LogEntry {
     muxes: Vec<MuxKey>,
 }
 
-/// The admission state the sharded engine shares between its workers
-/// and its committer: a [`NetworkState`] that only this type mutates,
-/// plus the conflict log speculations validate against. Holds no
-/// decision logic of its own.
+/// The admission state both engines decide against: a
+/// [`NetworkState`] that only this type mutates, the admission options
+/// in force, and the conflict log speculations validate against. Holds
+/// no decision logic of its own.
 #[derive(Debug)]
 pub struct ShardedState {
     state: NetworkState,
+    /// The run's options with every applied plan's β folded in. A
+    /// speculation reads them under the same lock as its closure, so it
+    /// can never decide under a β the committed state has left behind.
+    options: AdmissionOptions,
     /// Bumped by every committed mutation.
     version: u64,
     /// Speculations read at a version below this always conflict (set
@@ -97,11 +104,13 @@ impl Footprint {
 }
 
 impl ShardedState {
-    /// Shares `state` (fresh or restored) under an empty conflict log.
+    /// Shares `state` (fresh or restored), decided under `options`,
+    /// with an empty conflict log.
     #[must_use]
-    pub fn new(state: NetworkState) -> Self {
+    pub fn new(state: NetworkState, options: AdmissionOptions) -> Self {
         Self {
             state,
+            options,
             version: 0,
             barrier: 0,
             log: VecDeque::new(),
@@ -116,9 +125,23 @@ impl ShardedState {
         &self.state
     }
 
+    /// The shared admission state, released from the conflict log.
+    #[must_use]
+    pub fn into_state(self) -> NetworkState {
+        self.state
+    }
+
+    /// The version the next speculation would read at (bumped by
+    /// every committed mutation).
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Reads the dependency closure of a `source → dest` candidate out
-    /// of `shared` as a scoped state to decide on, with its footprint.
-    /// The closure is seeded with the candidate's own multiplexers
+    /// of `shared` as a scoped state to decide on, with the options in
+    /// force and its footprint. The closure is seeded with the
+    /// candidate's own multiplexers
     /// *plus* both endpoint rings' uplinks and downlinks, whose members
     /// hold the endpoint rings' allocation-table entries the admission
     /// reads. The read lock covers only copying the closure out; the
@@ -139,12 +162,13 @@ impl ShardedState {
         shared: &RwLock<Self>,
         source: HostId,
         dest: HostId,
-    ) -> Result<(NetworkState, Footprint), CacError> {
-        let (copy, footprint) = shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .read_closure(source, dest)?;
-        Ok((copy.into_state()?, footprint))
+    ) -> Result<(NetworkState, AdmissionOptions, Footprint), CacError> {
+        let (copy, options, footprint) = {
+            let guard = shared.read().expect("sharded state lock poisoned");
+            let (copy, footprint) = guard.read_closure(source, dest)?;
+            (copy, guard.options.clone(), footprint)
+        };
+        Ok((copy.into_state()?, options, footprint))
     }
 
     fn read_closure(
@@ -152,19 +176,39 @@ impl ShardedState {
         source: HostId,
         dest: HostId,
     ) -> Result<(ClosureCopy, Footprint), CacError> {
-        let mut seeds = hops_for(self.state.network(), source, dest)?;
+        let (copy, muxes) = self
+            .state
+            .read_closure(Self::seeds(&self.state, source, dest)?);
+        let footprint = Footprint {
+            version: self.version,
+            muxes,
+        };
+        Ok((copy, footprint))
+    }
+
+    /// The number of connections a speculation on `source → dest`
+    /// would read, without copying them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ShardedState::speculate`].
+    pub fn closure_len(&self, source: HostId, dest: HostId) -> Result<usize, CacError> {
+        Ok(self
+            .state
+            .closure_len(Self::seeds(&self.state, source, dest)?))
+    }
+
+    /// A closure's seeds: the candidate's multiplexers plus both
+    /// endpoint rings' uplinks and downlinks.
+    fn seeds(state: &NetworkState, source: HostId, dest: HostId) -> Result<Vec<MuxKey>, CacError> {
+        let mut seeds = hops_for(state.network(), source, dest)?;
         seeds.extend([
             MuxKey::Uplink(source.ring),
             MuxKey::Downlink(source.ring),
             MuxKey::Uplink(dest.ring),
             MuxKey::Downlink(dest.ring),
         ]);
-        let (copy, muxes) = self.state.read_closure(seeds);
-        let footprint = Footprint {
-            version: self.version,
-            muxes,
-        };
-        Ok((copy, footprint))
+        Ok(seeds)
     }
 
     /// Whether a speculation with this footprint has been invalidated:
@@ -184,23 +228,61 @@ impl ShardedState {
             .any(|e| e.muxes.iter().any(|m| footprint.muxes.contains(m)))
     }
 
-    /// Commits an admitted decision at the id the sequential state
-    /// would assign, logging its multiplexers.
+    /// Sets the logical clock stamped onto decisions, checkpoints and
+    /// snapshots.
+    pub fn set_clock(&mut self, now: Seconds) {
+        self.state.set_clock(now);
+    }
+
+    /// Decides `spec` in place under the options in force (see
+    /// [`NetworkState::admit`]), logging an admission's multiplexers.
+    ///
+    /// # Errors
+    ///
+    /// As for [`NetworkState::admit`].
+    pub fn admit(&mut self, spec: ConnectionSpec) -> Result<Decision, CacError> {
+        let decision = self.state.admit(spec, &self.options)?;
+        if let Decision::Admitted { id, .. } = decision {
+            self.log(self.state.hops_of(id).to_vec());
+        }
+        Ok(decision)
+    }
+
+    /// Commits a decision speculated over a closure of this state and
+    /// counts it: an admission is recorded at the id the sequential
+    /// state would assign (returned in the committed decision) and its
+    /// multiplexers are logged; a rejection only consumes its sequence
+    /// number.
     ///
     /// # Errors
     ///
     /// Propagates routing and allocation errors (impossible for a spec
     /// that was just decided against the same state).
-    pub fn commit_admit(
+    pub fn commit(
         &mut self,
         spec: &ConnectionSpec,
-        h_s: SyncBandwidth,
-        h_r: SyncBandwidth,
-        delay_bound: Seconds,
-    ) -> Result<ConnectionId, CacError> {
-        let id = self.state.commit(spec.clone(), h_s, h_r, delay_bound)?;
-        self.log(self.state.hops_of(id).to_vec());
-        Ok(id)
+        decision: Decision,
+    ) -> Result<Decision, CacError> {
+        let decision = match decision {
+            Decision::Admitted {
+                h_s,
+                h_r,
+                delay_bound,
+                ..
+            } => {
+                let id = self.state.commit(spec.clone(), h_s, h_r, delay_bound)?;
+                self.log(self.state.hops_of(id).to_vec());
+                Decision::Admitted {
+                    id,
+                    h_s,
+                    h_r,
+                    delay_bound,
+                }
+            }
+            rejected @ Decision::Rejected(_) => rejected,
+        };
+        self.state.count_decision();
+        Ok(decision)
     }
 
     /// Tears down an active connection, logging its multiplexers, and
@@ -248,16 +330,21 @@ impl ShardedState {
         Ok(was_down)
     }
 
-    /// The state's snapshot, stamped with the engine's `clock` and
-    /// `decision_seq` (the committer, not the shared state, counts
-    /// decisions).
-    #[must_use]
-    pub fn snapshot(&self, clock: Seconds, decision_seq: u64) -> StateSnapshot {
-        StateSnapshot {
-            clock,
-            decision_seq,
-            ..self.state.snapshot()
+    /// Applies a live reconfiguration under the options in force
+    /// ([`NetworkState::reconfigure`]), folds the plan's β into them for
+    /// every later decision, and raises the barrier: every speculation
+    /// read before it saw the old ring parameters and β.
+    ///
+    /// # Errors
+    ///
+    /// As for [`NetworkState::reconfigure`].
+    pub fn reconfigure(&mut self, plan: &ReconfigPlan) -> Result<ReconfigReport, CacError> {
+        let report = self.state.reconfigure(plan, &self.options)?;
+        if let Some(beta) = plan.beta {
+            self.options.cac.beta = beta;
         }
+        self.raise_barrier();
+        Ok(report)
     }
 
     fn log(&mut self, muxes: Vec<MuxKey>) {
@@ -281,8 +368,9 @@ impl ShardedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cac::{AdmissionOptions, CacConfig, Decision};
+    use crate::cac::CacConfig;
     use crate::network::{HetNetwork, RingId};
+    use hetnet_fddi::ring::SyncBandwidth;
     use hetnet_traffic::models::ConstantRateEnvelope;
     use hetnet_traffic::units::BitsPerSec;
     use std::sync::Arc;
@@ -307,6 +395,26 @@ mod tests {
         HostId { ring, station }
     }
 
+    /// Commits an admission decided elsewhere and returns its id.
+    fn commit_admit(
+        sharded: &mut ShardedState,
+        spec: &ConnectionSpec,
+        h_s: SyncBandwidth,
+        h_r: SyncBandwidth,
+        delay_bound: Seconds,
+    ) -> ConnectionId {
+        let speculated = Decision::Admitted {
+            id: ConnectionId(u64::MAX),
+            h_s,
+            h_r,
+            delay_bound,
+        };
+        match sharded.commit(spec, speculated).unwrap() {
+            Decision::Admitted { id, .. } => id,
+            Decision::Rejected(r) => panic!("commit turned an admission into {r}"),
+        }
+    }
+
     /// [`ShardedState::speculate`] without the lock: the same copy,
     /// then the same build.
     fn speculate(
@@ -326,9 +434,11 @@ mod tests {
         specs: &[ConnectionSpec],
     ) -> (NetworkState, ShardedState, Vec<Decision>) {
         let mut flat = NetworkState::new(net);
-        let mut sharded =
-            ShardedState::new(NetworkState::new_shared(Arc::clone(flat.shared_network())));
         let opts = AdmissionOptions::beta_search(CacConfig::default());
+        let mut sharded = ShardedState::new(
+            NetworkState::new_shared(Arc::clone(flat.shared_network())),
+            opts.clone(),
+        );
         let mut decisions = Vec::new();
         for s in specs {
             let flat_decision = flat.admit(s.clone(), &opts).unwrap();
@@ -359,10 +469,12 @@ mod tests {
                         sr.per_rotation().value().to_bits()
                     );
                     assert_eq!(fb.value().to_bits(), sb.value().to_bits());
-                    assert_eq!(sharded.commit_admit(s, *ss, *sr, *sb).unwrap(), *fid);
+                    assert_eq!(commit_admit(&mut sharded, s, *ss, *sr, *sb), *fid);
                 }
                 (Decision::Rejected(f), Decision::Rejected(g)) => {
                     assert_eq!(f.to_string(), g.to_string());
+                    let committed = sharded.commit(s, scoped_decision.clone()).unwrap();
+                    assert!(!committed.is_admitted());
                 }
                 other => panic!("decisions diverge: {other:?}"),
             }
@@ -390,10 +502,9 @@ mod tests {
         }
         let (flat, sharded, decisions) = run_both(net, &specs);
         assert!(decisions.iter().any(Decision::is_admitted));
-        let seq = flat.decisions();
         assert_eq!(
             flat.snapshot().to_json(),
-            sharded.snapshot(flat.clock(), seq).to_json(),
+            sharded.state().snapshot().to_json(),
             "committed sharded state must equal the flat snapshot"
         );
     }
@@ -404,12 +515,16 @@ mod tests {
         // two pairs share no multiplexer and each closure sees only its
         // own pair's flows.
         let net = HetNetwork::grid(4, 4);
-        let mut sharded = ShardedState::new(NetworkState::new(net));
+        let mut sharded = ShardedState::new(NetworkState::new(net), AdmissionOptions::default());
         for (s, d) in [(0usize, 1usize), (2, 3), (0, 1), (3, 2)] {
             let sp = spec((s, 0), (d, 1), 5.0);
-            sharded
-                .commit_admit(&sp, sync(0.5), sync(0.5), Seconds::from_millis(10.0))
-                .unwrap();
+            commit_admit(
+                &mut sharded,
+                &sp,
+                sync(0.5),
+                sync(0.5),
+                Seconds::from_millis(10.0),
+            );
         }
         let (view, _) = speculate(&sharded, host(0, 2), host(1, 3));
         let ids: Vec<u64> = view.active().iter().map(|c| c.id.0).collect();
@@ -429,32 +544,53 @@ mod tests {
     }
 
     #[test]
+    fn reconfigure_raises_the_barrier_and_folds_beta() {
+        let net = HetNetwork::grid(4, 4);
+        let options = AdmissionOptions::beta_search(CacConfig::default().with_beta(0.0));
+        let mut sharded = ShardedState::new(NetworkState::new(net), options);
+        let (_, before) = speculate(&sharded, host(0, 0), host(1, 0));
+        let plan = ReconfigPlan::uniform_ttrt(Seconds::from_millis(6.0)).with_beta(0.25);
+        sharded.reconfigure(&plan).unwrap();
+        assert!(
+            sharded.conflicts(&before),
+            "a speculation read before a reconfiguration must conflict"
+        );
+        // A speculation read after it does not conflict, so it must
+        // carry the new β and the retuned rings.
+        let retuned = Arc::clone(sharded.state().shared_network());
+        let shared = RwLock::new(sharded);
+        let (view, options, after) =
+            ShardedState::speculate(&shared, host(0, 0), host(1, 0)).unwrap();
+        assert!(!shared.read().unwrap().conflicts(&after));
+        assert_eq!(options.cac.beta.to_bits(), 0.25f64.to_bits());
+        assert!(Arc::ptr_eq(view.shared_network(), &retuned));
+    }
+
+    #[test]
     fn conflicts_track_footprint_intersection_and_barriers() {
         let net = HetNetwork::grid(4, 4);
-        let mut sharded = ShardedState::new(NetworkState::new(net));
+        let mut sharded = ShardedState::new(NetworkState::new(net), AdmissionOptions::default());
         let (_, fp) = speculate(&sharded, host(0, 0), host(1, 0));
         assert!(!sharded.conflicts(&fp), "nothing committed yet");
 
         // A disjoint commit (2→3) does not invalidate a 0→1 speculation.
-        sharded
-            .commit_admit(
-                &spec((2, 0), (3, 0), 5.0),
-                sync(0.4),
-                sync(0.4),
-                Seconds::from_millis(9.0),
-            )
-            .unwrap();
+        commit_admit(
+            &mut sharded,
+            &spec((2, 0), (3, 0), 5.0),
+            sync(0.4),
+            sync(0.4),
+            Seconds::from_millis(9.0),
+        );
         assert!(!sharded.conflicts(&fp));
 
         // An overlapping commit (0→1) does.
-        let id = sharded
-            .commit_admit(
-                &spec((0, 1), (1, 1), 5.0),
-                sync(0.4),
-                sync(0.4),
-                Seconds::from_millis(9.0),
-            )
-            .unwrap();
+        let id = commit_admit(
+            &mut sharded,
+            &spec((0, 1), (1, 1), 5.0),
+            sync(0.4),
+            sync(0.4),
+            Seconds::from_millis(9.0),
+        );
         assert!(sharded.conflicts(&fp));
 
         // So does a departure from the footprint.
@@ -526,7 +662,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             flat.snapshot().to_json(),
-            sharded.snapshot(flat.clock(), flat.decisions()).to_json()
+            sharded.state().snapshot().to_json()
         );
     }
 }

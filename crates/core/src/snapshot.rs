@@ -214,22 +214,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Renders a snapshot as a short human summary (connection and
-/// down-component counts), for log lines.
-pub fn summarize(snap: &StateSnapshot) -> String {
-    let mut s = format!(
-        "snapshot v{}: {} connections, seq {}, clock {}",
-        snap.version,
-        snap.connections.len(),
-        snap.decision_seq,
-        snap.clock
-    );
-    if !snap.down.is_empty() {
-        let _ = write!(s, ", {} components down", snap.down.len());
-    }
-    s
-}
-
 /// Compares two states for *observable* equality the way the recovery
 /// tests do: equal snapshots render equal JSON. Exposed so service- and
 /// bench-layer checks share one definition of "bit-identical".

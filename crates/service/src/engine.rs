@@ -2,15 +2,23 @@
 //! snapshot-based recovery.
 //!
 //! [`ServiceEngine`] consumes a churn schedule as a merged stream of
-//! connect/disconnect/fault events in time order: before each arrival
-//! is decided, every departure and fault due at or before it is
-//! processed (ties resolve departure < fault < arrival, matching the
+//! connect/disconnect/fault/reconfiguration events in time order:
+//! before each arrival is decided, every departure, fault and
+//! reconfiguration due at or before it is processed (ties resolve
+//! departure < fault < reconfig < arrival, matching the
 //! connection-level semantics that a released allocation is available
 //! to a simultaneous request). Each arrival becomes one
-//! [`NetworkState::admit`] call under the configured
-//! [`AdmissionOptions`], so a service run is — by construction —
-//! decision-for-decision identical to driving the bare state machine in
-//! the same event order.
+//! [`NetworkState::admit`] call under the options in force, so a
+//! service run is — by construction — decision-for-decision identical
+//! to driving the bare state machine in the same event order.
+//!
+//! The event loop and every piece of per-event bookkeeping are written
+//! once, in `EventLoop`; its methods take the admission state as a
+//! `&mut ShardedState`. The sequential engine passes its own state and
+//! decides every arrival in place (`EventLoop::decide`); the sharded
+//! engine ([`crate::sharded`]) passes the write guard of the lock its
+//! workers read and commits their speculations (`EventLoop::record`),
+//! deciding in place only what it must (conflicts and re-admissions).
 //!
 //! Fault events come from the seeded [`hetnet_sim::fault`] schedule: a
 //! component failure tears down every connection crossing it (the CAC
@@ -33,24 +41,29 @@ use crate::metrics::{
     CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges, LatencyHistogram,
     ReconfigMetrics, RecoveryMetrics, UtilizationSeries,
 };
-use crate::observability::{spans_to_json, EngineMetrics, ObsOptions, Telemetry, TelemetryFrame};
-use crate::report::{LatencySummary, ServiceReport, StageDelaySummary};
-use hetnet_cac::cac::{
-    AdmissionOptions, Decision, DecisionObserver, DecisionRecord, NetworkState, RejectReason,
+use crate::observability::{
+    spans_to_json, with_spans, EngineMetrics, ObsOptions, SpanPhase, Telemetry, TelemetryFrame,
 };
+use crate::report::{LatencySummary, ServiceReport, StageDelaySummary};
+use crate::sharded::ShardMetrics;
+use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, NetworkState, RejectReason};
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
+use hetnet_cac::delay::CacheStats;
 use hetnet_cac::error::CacError;
+use hetnet_cac::incremental::FastPathStats;
 use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId, Scheduler};
-use hetnet_cac::reconfig::{ReconfigPlan, ReconfigReport};
+use hetnet_cac::reconfig::ReconfigPlan;
+use hetnet_cac::shard::ShardedState;
 use hetnet_cac::snapshot::StateSnapshot;
-use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing};
+use hetnet_cac::trace::DecisionTrace;
+use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing, Trace};
 use hetnet_sim::churn::{self, ChurnArrival, ChurnConfig, ChurnSchedule};
 use hetnet_sim::fault::{generate_faults, FaultConfig, FaultEvent, FaultKind};
 use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::Seconds;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A scheduled live reconfiguration: at event-stream time `at`, apply
@@ -178,51 +191,10 @@ pub struct ServiceRun {
     pub telemetry: Vec<TelemetryFrame>,
 }
 
-/// Streaming metrics consumer installed as the state's
-/// [`DecisionObserver`]: accumulates evaluator-cache gauges and the
-/// delay-budget attribution, and checks the decision sequence stays
-/// gap-free.
-struct MetricsHook {
-    gauges: Arc<Mutex<CacheGauges>>,
-    fast: Arc<Mutex<FastPathGauges>>,
-    attribution: Arc<Mutex<DelayAttribution>>,
-    next_seq: u64,
-}
-
-impl DecisionObserver for MetricsHook {
-    fn on_decision(&mut self, record: &DecisionRecord<'_>) {
-        assert_eq!(record.seq, self.next_seq, "decision stream skipped a seq");
-        self.next_seq += 1;
-        self.gauges
-            .lock()
-            .expect("gauges mutex poisoned")
-            .absorb(record.cache);
-        self.fast
-            .lock()
-            .expect("fast-path mutex poisoned")
-            .absorb(record.fast_path);
-        if let Some(trace) = record.trace {
-            self.attribution
-                .lock()
-                .expect("attribution mutex poisoned")
-                .absorb(trace);
-        }
-    }
-
-    fn on_reconfig(&mut self, seq: u64, _report: &ReconfigReport) {
-        assert_eq!(seq, self.next_seq, "decision stream skipped a seq");
-        self.next_seq += 1;
-    }
-}
-
 /// A pending departure, min-ordered by `(time, connection id)`. Times
 /// are non-negative, so the IEEE-754 bit pattern orders like the value
 /// and gives the heap a total, deterministic order.
-pub(crate) type Departure = Reverse<(u64, u64)>;
-
-pub(crate) fn departure(at: Seconds, id: ConnectionId) -> Departure {
-    Reverse((at.value().to_bits(), id.0))
-}
+type Departure = Reverse<(u64, u64)>;
 
 /// A connection torn down by a fault, waiting for a repair to attempt
 /// re-admission. The spec is re-derived from the churn schedule by
@@ -231,71 +203,6 @@ pub(crate) fn departure(at: Seconds, id: ConnectionId) -> Departure {
 struct Parked {
     arrival: usize,
     departs_bits: u64,
-}
-
-/// What both engines derive from a config before their first event.
-pub(crate) struct Prepared {
-    /// The network, with the configured backbone scheduler installed.
-    pub(crate) network: HetNetwork,
-    pub(crate) schedule: ChurnSchedule,
-    /// The schedule's source model, shared by every request.
-    pub(crate) envelope: SharedEnvelope,
-    pub(crate) faults: Vec<FaultEvent>,
-}
-
-/// Checks `cfg` against `network` — churn shape, scheduler, and class
-/// count — installs the scheduler, and generates the churn and fault
-/// schedules.
-///
-/// # Errors
-///
-/// Returns [`CacError::InvalidRequest`] on a churn-shape mismatch, an
-/// invalid scheduler, or more classes than the scheduler maps.
-pub(crate) fn prepare(network: HetNetwork, cfg: &ServiceConfig) -> Result<Prepared, CacError> {
-    let shape = cfg.churn.shape;
-    if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring() {
-        return Err(CacError::InvalidRequest(format!(
-            "churn shape {}x{} does not match network {}x{}",
-            shape.rings,
-            shape.hosts_per_ring,
-            network.rings().len(),
-            network.hosts_per_ring()
-        )));
-    }
-    let network = match &cfg.scheduler {
-        Some(s) => {
-            s.validate()
-                .map_err(|e| CacError::InvalidRequest(format!("scheduler: {e}")))?;
-            if let Some(map) = s.weight_map() {
-                if usize::from(cfg.classes.max(1)) > map.len() {
-                    return Err(CacError::InvalidRequest(format!(
-                        "classes {} exceed the {} classes mapped by scheduler {s}",
-                        cfg.classes,
-                        map.len()
-                    )));
-                }
-            }
-            network.with_scheduler(s.clone())
-        }
-        None => network,
-    };
-    let schedule = churn::generate(&cfg.churn);
-    let envelope: SharedEnvelope = Arc::new(schedule.source);
-    let faults = match &cfg.faults {
-        Some(f) if !schedule.arrivals.is_empty() => generate_faults(
-            f,
-            network.rings().len(),
-            network.backbone().link_count(),
-            schedule.span(),
-        ),
-        _ => Vec::new(),
-    };
-    Ok(Prepared {
-        network,
-        schedule,
-        envelope,
-        faults,
-    })
 }
 
 /// The request of scheduled arrival `a`. Its backbone traffic class is
@@ -324,21 +231,31 @@ pub(crate) fn arrival_spec(
         .build()
 }
 
+/// Where the event loop stands in the stream: pending departures, live
+/// and parked connections, open faults, and the stream cursors.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Position {
+    departures: BinaryHeap<Departure>,
+    /// Live connection id → (schedule arrival index, departure bits).
+    live: BTreeMap<u64, (usize, u64)>,
+    parked: Vec<Parked>,
+    /// Component → down-time bits, for time-to-drain accounting.
+    open_faults: BTreeMap<Component, u64>,
+    pub(crate) next_arrival: usize,
+    next_fault: usize,
+    pub(crate) next_reconfig: usize,
+}
+
 /// A resumable engine position: the [`StateSnapshot`] of the network
-/// plus the engine's scheduling state (pending departures, parked
-/// connections, open faults, and stream cursors). Everything else —
-/// the churn and fault schedules — is regenerated from the config, so
-/// a checkpoint is small and fully deterministic.
+/// plus the event loop's position (pending departures, live and parked
+/// connections, open faults, stream cursors). Everything else — the
+/// churn, fault and reconfiguration schedules — is regenerated from the
+/// config, so a checkpoint is small and fully deterministic. Both
+/// engines take and resume the same checkpoints.
 #[derive(Clone, Debug)]
 pub struct EngineCheckpoint {
     pub(crate) state: StateSnapshot,
-    pub(crate) departures: Vec<(u64, u64)>,
-    pub(crate) live: Vec<(u64, usize, u64)>,
-    pub(crate) parked: Vec<(usize, u64)>,
-    pub(crate) open_faults: Vec<(Component, u64)>,
-    pub(crate) next_arrival: usize,
-    pub(crate) next_fault: usize,
-    pub(crate) next_reconfig: usize,
+    pub(crate) pos: Position,
 }
 
 impl EngineCheckpoint {
@@ -356,68 +273,156 @@ impl EngineCheckpoint {
     }
 }
 
-/// The stepwise admission engine: [`ServiceEngine::new`] positions it
-/// at the start of the schedule, [`ServiceEngine::step_arrival`]
-/// processes one arrival (plus every departure and fault due before
-/// it), and [`ServiceEngine::finish`] runs to completion and assembles
-/// the [`ServiceRun`]. The free function [`run`] does all three.
+/// One request about to be decided: scheduled arrival `arrival`
+/// (whose hosts and deadline its audit entry records), asked at `at`,
+/// departing at `departs` if admitted.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Request {
+    pub(crate) at: Seconds,
+    kind: AuditKind,
+    arrival: usize,
+    departs: Seconds,
+}
+
+/// What one decision cost and found, and where it was computed (for
+/// the flight recorder and the sharded run's statistics).
+#[derive(Debug, Default)]
+pub(crate) struct Measured<'a> {
+    pub(crate) latency: f64,
+    pub(crate) cache: CacheStats,
+    pub(crate) fast: FastPathStats,
+    pub(crate) trace: Option<&'a DecisionTrace>,
+    pub(crate) spans: Option<Trace>,
+    /// The worker shard the request was routed to: `None` for the
+    /// sequential engine and for the sharded committer's re-admissions.
+    pub(crate) shard: Option<u32>,
+    /// The ledger version the decision read at; `None` on the
+    /// sequential engine.
+    pub(crate) version: Option<u64>,
+    /// Connections in the dependency closure the decision read
+    /// (sharded runs only).
+    pub(crate) closure: usize,
+    /// Whether the shard's speculation conflicted and the committer
+    /// decided the request again in place.
+    pub(crate) conflict: bool,
+    /// The conflicted speculation's span timeline.
+    pub(crate) discarded: Option<Trace>,
+}
+
+impl Measured<'_> {
+    /// The decision's span timeline as the flight recorder stores it:
+    /// one `"decide"` phase on the sequential engine; on a sharded run
+    /// `"speculate"` (worker), `"inline"` (committer) or — after a
+    /// conflict — the discarded `"speculate"` then `"recompute"`.
+    fn spans_json(&self) -> String {
+        let mut phases: Vec<SpanPhase<'_>> = Vec::new();
+        if let Some(t) = &self.discarded {
+            phases.push(("speculate", self.shard, t));
+        }
+        if let Some(t) = &self.spans {
+            phases.push(match (self.version, self.conflict, self.shard) {
+                (None, ..) => ("decide", None, t),
+                (Some(_), true, _) => ("recompute", None, t),
+                (Some(_), false, Some(shard)) => ("speculate", Some(shard), t),
+                (Some(_), false, None) => ("inline", None, t),
+            });
+        }
+        spans_to_json(&phases, self.version)
+    }
+}
+
+/// The event loop and all per-event bookkeeping, shared by both
+/// engines: departures, faults, reconfigurations, park and re-admit,
+/// deadline shrinks, the audit log, utilization sampling, metrics, the
+/// flight recorder, telemetry, checkpoints and the final report. Every
+/// method that touches the admission state takes it as a parameter.
 #[derive(Debug)]
-pub struct ServiceEngine {
-    cfg: ServiceConfig,
-    state: NetworkState,
-    schedule: ChurnSchedule,
+pub(crate) struct EventLoop {
+    pub(crate) cfg: ServiceConfig,
+    /// Shared with the sharded engine's workers.
+    pub(crate) schedule: Arc<ChurnSchedule>,
     faults: Vec<FaultEvent>,
     /// The reconfiguration schedule, sorted by time (stable, so equal
     /// times keep the config order).
     reconfigs: Vec<ReconfigEvent>,
-    envelope: SharedEnvelope,
-    departures: BinaryHeap<Departure>,
-    /// Live connection id → (schedule arrival index, departure bits).
-    live: BTreeMap<u64, (usize, u64)>,
-    parked: Vec<Parked>,
-    /// Component → down-time bits, for time-to-drain accounting.
-    open_faults: BTreeMap<Component, u64>,
-    next_arrival: usize,
-    next_fault: usize,
-    next_reconfig: usize,
+    pub(crate) envelope: SharedEnvelope,
+    pub(crate) pos: Position,
     counters: DecisionCounters,
     latency: LatencyHistogram,
     series: UtilizationSeries,
     audit: AuditLog,
     recovery: RecoveryMetrics,
     reconfig_metrics: ReconfigMetrics,
-    gauges: Arc<Mutex<CacheGauges>>,
-    fast: Arc<Mutex<FastPathGauges>>,
-    attribution: Arc<Mutex<DelayAttribution>>,
-    registry: Arc<MetricsRegistry>,
+    cache: CacheGauges,
+    fast: FastPathGauges,
+    attribution: DelayAttribution,
+    pub(crate) registry: Arc<MetricsRegistry>,
     mx: EngineMetrics,
-    flight: Arc<FlightRecorder>,
-    telemetry_ring: Arc<SharedRing<TelemetryFrame>>,
+    pub(crate) flight: Arc<FlightRecorder>,
+    pub(crate) telemetry_ring: Arc<SharedRing<TelemetryFrame>>,
     telemetry: Telemetry,
     /// Simulated time of the last processed event, for the final
     /// telemetry frame.
     last_event: f64,
     peak_active: usize,
     ring_caps: Vec<f64>,
-    topology: String,
-    started: Instant,
+    pub(crate) started: Instant,
+    /// The sharded run's concurrency statistics; `None` on the
+    /// sequential engine.
+    pub(crate) shards: Option<ShardMetrics>,
 }
 
-impl ServiceEngine {
-    /// Builds an engine positioned before the first event of `cfg`'s
-    /// schedules.
+impl EventLoop {
+    /// Positions a loop before the first event of `cfg`'s schedules —
+    /// or, given a checkpoint, at the checkpoint's position — and builds
+    /// the admission state it drives, with the evaluator cache capped
+    /// at `caps`.
+    ///
+    /// Resumed metrics (counters, latency, utilization, recovery)
+    /// restart at zero and cover only the post-checkpoint segment; the
+    /// audit log resumes at the checkpoint's decision sequence.
     ///
     /// # Errors
     ///
     /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network.
-    pub fn new(network: HetNetwork, cfg: &ServiceConfig) -> Result<Self, CacError> {
-        let Prepared {
-            network,
-            schedule,
-            envelope,
-            faults,
-        } = prepare(network, cfg)?;
+    /// match the network, the scheduler, class count or reconfiguration
+    /// schedule is invalid, and [`CacError::SnapshotMismatch`] if the
+    /// checkpoint does not fit the network or the regenerated
+    /// schedules.
+    pub(crate) fn start(
+        network: HetNetwork,
+        cfg: &ServiceConfig,
+        checkpoint: Option<&EngineCheckpoint>,
+        caps: EvalCacheCaps,
+    ) -> Result<(Self, ShardedState), CacError> {
+        let shape = cfg.churn.shape;
+        if shape.rings != network.rings().len() || shape.hosts_per_ring != network.hosts_per_ring()
+        {
+            return Err(CacError::InvalidRequest(format!(
+                "churn shape {}x{} does not match network {}x{}",
+                shape.rings,
+                shape.hosts_per_ring,
+                network.rings().len(),
+                network.hosts_per_ring()
+            )));
+        }
+        let network = match &cfg.scheduler {
+            Some(s) => {
+                s.validate()
+                    .map_err(|e| CacError::InvalidRequest(format!("scheduler: {e}")))?;
+                if let Some(map) = s.weight_map() {
+                    if usize::from(cfg.classes.max(1)) > map.len() {
+                        return Err(CacError::InvalidRequest(format!(
+                            "classes {} exceed the {} classes mapped by scheduler {s}",
+                            cfg.classes,
+                            map.len()
+                        )));
+                    }
+                }
+                network.with_scheduler(s.clone())
+            }
+            None => network,
+        };
         for e in &cfg.reconfigs {
             e.plan
                 .validate(network.rings().len())
@@ -426,317 +431,176 @@ impl ServiceEngine {
         let mut reconfigs = cfg.reconfigs.clone();
         reconfigs.sort_by_key(|e| e.at.value().to_bits());
 
-        let topology = network.summary().to_string();
+        let schedule = churn::generate(&cfg.churn);
+        let faults = match &cfg.faults {
+            Some(f) if !schedule.arrivals.is_empty() => generate_faults(
+                f,
+                network.rings().len(),
+                network.backbone().link_count(),
+                schedule.span(),
+            ),
+            _ => Vec::new(),
+        };
         let mut state = NetworkState::new(network);
+        state.set_cache_caps(caps);
         state.persist_eval_cache(cfg.persist_cache);
         state.set_fast_path(cfg.fast_path)?;
         state.set_decision_tracing(cfg.trace_decisions);
-        let gauges = Arc::new(Mutex::new(CacheGauges::default()));
-        let fast = Arc::new(Mutex::new(FastPathGauges::default()));
-        let attribution = Arc::new(Mutex::new(DelayAttribution::default()));
-        state.set_observer(Some(Box::new(MetricsHook {
-            gauges: Arc::clone(&gauges),
-            fast: Arc::clone(&fast),
-            attribution: Arc::clone(&attribution),
-            next_seq: 0,
-        })));
-        let ring_caps: Vec<f64> = state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        let sample_period = cfg.sample_period;
+        let mut options = cfg.options.clone();
         let registry = Arc::new(MetricsRegistry::new());
         let mx = EngineMetrics::register(&registry);
-        let flight = Arc::new(FlightRecorder::new(
-            cfg.obs.flight_capacity,
-            cfg.obs.flight_min_samples,
-        ));
         let telemetry_ring = Arc::new(SharedRing::new(cfg.obs.telemetry_capacity));
         let telemetry =
             Telemetry::new(&cfg.obs, Arc::clone(&registry), Arc::clone(&telemetry_ring));
-        Ok(Self {
+        let mut events = Self {
             cfg: cfg.clone(),
-            state,
-            schedule,
+            envelope: Arc::new(schedule.source),
+            schedule: Arc::new(schedule),
             faults,
             reconfigs,
-            envelope,
-            departures: BinaryHeap::new(),
-            live: BTreeMap::new(),
-            parked: Vec::new(),
-            open_faults: BTreeMap::new(),
-            next_arrival: 0,
-            next_fault: 0,
-            next_reconfig: 0,
+            pos: Position::default(),
             counters: DecisionCounters::default(),
             latency: LatencyHistogram::new(),
-            series: UtilizationSeries::new(sample_period),
+            series: UtilizationSeries::new(cfg.sample_period),
             audit: AuditLog::new(),
             recovery: RecoveryMetrics::default(),
             reconfig_metrics: ReconfigMetrics::default(),
-            gauges,
-            fast,
-            attribution,
+            cache: CacheGauges::default(),
+            fast: FastPathGauges::default(),
+            attribution: DelayAttribution::default(),
             registry,
             mx,
-            flight,
+            flight: Arc::new(FlightRecorder::new(
+                cfg.obs.flight_capacity,
+                cfg.obs.flight_min_samples,
+            )),
             telemetry_ring,
             telemetry,
             last_event: 0.0,
             peak_active: 0,
-            ring_caps,
-            topology,
+            ring_caps: Vec::new(),
             started: Instant::now(),
-        })
-    }
-
-    /// Rebuilds an engine mid-run from a checkpoint: the network state
-    /// is restored bit-for-bit from the snapshot, the churn and fault
-    /// schedules are regenerated from `cfg`, and the scheduling state
-    /// (departures, parked connections, cursors) comes from the
-    /// checkpoint. Stepping the result reproduces the original run's
-    /// remaining decisions exactly.
-    ///
-    /// Metrics (counters, latency, utilization, recovery) restart at
-    /// zero and cover only the post-checkpoint segment; the audit log
-    /// resumes at the checkpoint's decision sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacError::SnapshotMismatch`] if the snapshot does not
-    /// fit the network or the cursors exceed the regenerated schedules,
-    /// and [`CacError::InvalidRequest`] on a churn-shape mismatch.
-    pub fn recover(
-        network: HetNetwork,
-        cfg: &ServiceConfig,
-        checkpoint: &EngineCheckpoint,
-    ) -> Result<Self, CacError> {
-        let mut engine = Self::new(network, cfg)?;
-        if checkpoint.next_arrival > engine.schedule.arrivals.len()
-            || checkpoint.next_fault > engine.faults.len()
-            || checkpoint.next_reconfig > engine.reconfigs.len()
-        {
-            return Err(CacError::SnapshotMismatch(
-                "checkpoint cursors exceed the regenerated schedules".into(),
-            ));
-        }
-        engine.state.restore(&checkpoint.state)?;
-        // The snapshot's ring parameters were adopted by the restore;
-        // utilization must be measured against the *restored* budgets.
-        engine.ring_caps = engine
-            .state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        // A reconfiguration's β outlives it via the admission options;
-        // replay the pre-checkpoint prefix so post-recovery admissions
-        // run under the same β as the original run's.
-        for e in &engine.reconfigs[..checkpoint.next_reconfig] {
-            if let Some(beta) = e.plan.beta {
-                engine.cfg.options.cac.beta = beta;
-            }
-        }
-        // Reinstall the observer so the gap-free sequence check resumes
-        // at the snapshot's decision count.
-        engine.state.set_observer(Some(Box::new(MetricsHook {
-            gauges: Arc::clone(&engine.gauges),
-            fast: Arc::clone(&engine.fast),
-            attribution: Arc::clone(&engine.attribution),
-            next_seq: checkpoint.state.decision_seq,
-        })));
-        engine.audit = AuditLog::starting_at(checkpoint.state.decision_seq);
-        engine.departures = checkpoint.departures.iter().map(|&p| Reverse(p)).collect();
-        engine.live = checkpoint
-            .live
-            .iter()
-            .map(|&(id, arrival, departs)| (id, (arrival, departs)))
-            .collect();
-        engine.parked = checkpoint
-            .parked
-            .iter()
-            .map(|&(arrival, departs_bits)| Parked {
-                arrival,
-                departs_bits,
-            })
-            .collect();
-        engine.open_faults = checkpoint.open_faults.iter().copied().collect();
-        engine.next_arrival = checkpoint.next_arrival;
-        engine.next_fault = checkpoint.next_fault;
-        engine.next_reconfig = checkpoint.next_reconfig;
-        Ok(engine)
-    }
-
-    /// Captures the engine's position between arrivals.
-    #[must_use]
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        let mut departures: Vec<(u64, u64)> = self.departures.iter().map(|&Reverse(p)| p).collect();
-        departures.sort_unstable();
-        EngineCheckpoint {
-            state: self.state.snapshot(),
-            departures,
-            live: self
-                .live
-                .iter()
-                .map(|(&id, &(arrival, departs))| (id, arrival, departs))
-                .collect(),
-            parked: self
-                .parked
-                .iter()
-                .map(|p| (p.arrival, p.departs_bits))
-                .collect(),
-            open_faults: self.open_faults.iter().map(|(&c, &b)| (c, b)).collect(),
-            next_arrival: self.next_arrival,
-            next_fault: self.next_fault,
-            next_reconfig: self.next_reconfig,
-        }
-    }
-
-    /// The network state as of the last processed event.
-    #[must_use]
-    pub fn state(&self) -> &NetworkState {
-        &self.state
-    }
-
-    /// The audit log so far.
-    #[must_use]
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
-    /// Arrivals not yet processed.
-    #[must_use]
-    pub fn pending_arrivals(&self) -> usize {
-        self.schedule.arrivals.len() - self.next_arrival
-    }
-
-    /// The shared metrics registry this engine updates. Snapshot it
-    /// from any thread to watch the run live.
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The always-on outlier flight recorder.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
-    /// The shared ring periodic telemetry frames land in (empty unless
-    /// [`ObsOptions::telemetry_period`] is set). Poll it from another
-    /// thread for a `hetnet-top`-style live view.
-    #[must_use]
-    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
-        Arc::clone(&self.telemetry_ring)
-    }
-
-    /// Processes the next scheduled arrival, after every departure and
-    /// fault due at or before it (ties: departure < fault < arrival).
-    /// Returns `false` when the schedule is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`CacError`] from the underlying admissions and
-    /// releases (rejections are outcomes, not errors).
-    pub fn step_arrival(&mut self) -> Result<bool, CacError> {
-        let Some(&a) = self.schedule.arrivals.get(self.next_arrival) else {
-            return Ok(false);
+            shards: None,
         };
-        self.advance_to(a.at)?;
-        let spec = arrival_spec(&self.cfg, &self.envelope, &a)?;
-        let idx = self.next_arrival;
-        self.decide(a.at, AuditKind::Arrival, idx, spec, a.at + a.holding)?;
-        self.next_arrival += 1;
-        Ok(true)
+        if let Some(c) = checkpoint {
+            if c.pos.next_arrival > events.schedule.arrivals.len()
+                || c.pos.next_fault > events.faults.len()
+                || c.pos.next_reconfig > events.reconfigs.len()
+            {
+                return Err(CacError::SnapshotMismatch(
+                    "checkpoint cursors exceed the regenerated schedules".into(),
+                ));
+            }
+            state.restore(&c.state)?;
+            // A reconfiguration's β outlives it in the options in
+            // force; replay the pre-checkpoint prefix so post-recovery
+            // admissions run under the same β as the original run's.
+            for e in &events.reconfigs[..c.pos.next_reconfig] {
+                if let Some(beta) = e.plan.beta {
+                    options.cac.beta = beta;
+                }
+            }
+            events.audit = AuditLog::starting_at(c.state.decision_seq);
+            events.pos = c.pos.clone();
+        }
+        // Measured against the state's budgets, which a restore may
+        // have retuned.
+        events.ring_caps = ring_caps(&state);
+        Ok((events, ShardedState::new(state, options)))
     }
 
-    /// Runs every remaining event and assembles the [`ServiceRun`].
+    /// Scheduled arrival `idx` as a request and its spec.
     ///
     /// # Errors
     ///
-    /// Propagates any [`CacError`] from the remaining events.
-    pub fn finish(mut self) -> Result<ServiceRun, CacError> {
-        while self.step_arrival()? {}
-        // Drain faults and reconfigurations scheduled past the last
-        // arrival. The generated fault schedules end well inside the
-        // horizon, so the first loop is normally a no-op, but it keeps
-        // `undrained` honest for hand-built ones; reconfig schedules
-        // are hand-built and routinely outlive the arrivals.
-        while let Some(e) = self.faults.get(self.next_fault).copied() {
-            self.advance_to(e.at)?;
-        }
-        while let Some(at) = self.reconfigs.get(self.next_reconfig).map(|e| e.at) {
-            self.advance_to(at)?;
-        }
-        Ok(self.into_run())
+    /// Propagates spec validation errors.
+    pub(crate) fn arrival(&self, idx: usize) -> Result<(Request, ConnectionSpec), CacError> {
+        let a = self.schedule.arrivals[idx];
+        let spec = arrival_spec(&self.cfg, &self.envelope, &a)?;
+        let request = Request {
+            at: a.at,
+            kind: AuditKind::Arrival,
+            arrival: idx,
+            departs: a.at + a.holding,
+        };
+        Ok((request, spec))
     }
 
     /// Processes every departure, fault, and reconfiguration due at or
     /// before `t`, in time order (ties: departure < fault <
     /// reconfig).
-    fn advance_to(&mut self, t: Seconds) -> Result<(), CacError> {
+    pub(crate) fn advance_to(
+        &mut self,
+        state: &mut ShardedState,
+        t: Seconds,
+    ) -> Result<(), CacError> {
         loop {
             let dep_at = self
+                .pos
                 .departures
                 .peek()
                 .map(|&Reverse((bits, _))| f64::from_bits(bits));
-            let fault_at = self.faults.get(self.next_fault).map(|e| e.at.value());
-            let rec_at = self.reconfigs.get(self.next_reconfig).map(|e| e.at.value());
+            let fault_at = self.faults.get(self.pos.next_fault).map(|e| e.at.value());
+            let rec_at = self
+                .reconfigs
+                .get(self.pos.next_reconfig)
+                .map(|e| e.at.value());
             let dep_due = dep_at.is_some_and(|at| at <= t.value());
             let fault_due = fault_at.is_some_and(|at| at <= t.value());
             let rec_due = rec_at.is_some_and(|at| at <= t.value());
             if dep_due && (!fault_due || dep_at <= fault_at) && (!rec_due || dep_at <= rec_at) {
-                self.pop_departure()?;
+                self.pop_departure(state)?;
             } else if fault_due && (!rec_due || fault_at <= rec_at) {
-                let e = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(e)?;
+                let e = self.faults[self.pos.next_fault];
+                self.pos.next_fault += 1;
+                self.apply_fault(state, e)?;
             } else if rec_due {
-                let e = self.reconfigs[self.next_reconfig].clone();
-                self.next_reconfig += 1;
-                self.apply_reconfig(&e)?;
+                let e = self.reconfigs[self.pos.next_reconfig].clone();
+                self.pos.next_reconfig += 1;
+                self.apply_reconfig(state, &e)?;
             } else {
                 return Ok(());
             }
         }
     }
 
-    /// Applies one scheduled reconfiguration: renegotiates the admitted
-    /// set at the new parameters, parks victims for greedy
-    /// re-admission, persists the plan's β into the run's admission
-    /// options, and records the event in the audit log (one decision
-    /// sequence number, kind [`AuditKind::Reconfig`]).
-    fn apply_reconfig(&mut self, e: &ReconfigEvent) -> Result<(), CacError> {
-        self.state.set_clock(e.at);
-        let t0 = Instant::now();
-        let report = self.state.reconfigure(&e.plan, &self.cfg.options)?;
-        let latency_seconds = t0.elapsed().as_secs_f64();
-        if let Some(beta) = e.plan.beta {
-            self.cfg.options.cac.beta = beta;
+    /// Processes the faults and reconfigurations scheduled past the
+    /// last arrival. The generated fault schedules end well inside the
+    /// horizon, so the first loop is normally a no-op, but it keeps
+    /// `undrained` honest for hand-built ones; reconfiguration
+    /// schedules are hand-built and routinely outlive the arrivals.
+    pub(crate) fn drain(&mut self, state: &mut ShardedState) -> Result<(), CacError> {
+        while let Some(e) = self.faults.get(self.pos.next_fault).copied() {
+            self.advance_to(state, e.at)?;
         }
+        while let Some(at) = self.reconfigs.get(self.pos.next_reconfig).map(|e| e.at) {
+            self.advance_to(state, at)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one scheduled reconfiguration: renegotiates the admitted
+    /// set at the new parameters (folding the plan's β into the options
+    /// in force and raising the barrier), parks victims for greedy
+    /// re-admission, and records the event in the audit log (one
+    /// decision sequence number, kind [`AuditKind::Reconfig`]).
+    fn apply_reconfig(
+        &mut self,
+        state: &mut ShardedState,
+        e: &ReconfigEvent,
+    ) -> Result<(), CacError> {
+        state.set_clock(e.at);
+        let t0 = Instant::now();
+        let report = state.reconfigure(&e.plan)?;
+        let latency_seconds = t0.elapsed().as_secs_f64();
         // The allocatable budgets changed: utilization is measured
         // against the new ones from here on.
-        self.ring_caps = self
-            .state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
+        self.ring_caps = ring_caps(state.state());
         for conn in &report.dropped {
-            if let Some((arrival, departs_bits)) = self.live.remove(&conn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
+            self.park(conn.id);
         }
         self.reconfig_metrics.absorb(&report);
-        let seq = self.state.decisions() - 1;
+        let seq = state.state().decisions() - 1;
         let observation = FlightObservation {
             correlation: seq,
             shard: None,
@@ -757,7 +621,7 @@ impl ServiceEngine {
             seq,
             at: e.at,
             kind: AuditKind::Reconfig,
-            arrival: self.next_reconfig - 1,
+            arrival: self.pos.next_reconfig - 1,
             source: (0, 0),
             dest: (0, 0),
             deadline: 0.0,
@@ -767,39 +631,44 @@ impl ServiceEngine {
                 unchanged: report.unchanged.len() as u64,
             },
         });
-        self.offer_sample(e.at);
+        self.offer_sample(state.state(), e.at);
         if self.cfg.readmit {
-            self.readmit_parked(e.at)?;
+            self.readmit_parked(state, e.at)?;
         }
         Ok(())
     }
 
     /// Pops one departure. Connections already torn down by a fault
     /// left their heap entry behind; popping it is a no-op.
-    fn pop_departure(&mut self) -> Result<(), CacError> {
-        let Reverse((at_bits, id)) = self.departures.pop().expect("caller peeked a departure");
-        if self.live.remove(&id).is_none() {
+    fn pop_departure(&mut self, state: &mut ShardedState) -> Result<(), CacError> {
+        let Reverse((at_bits, id)) = self
+            .pos
+            .departures
+            .pop()
+            .expect("caller peeked a departure");
+        if self.pos.live.remove(&id).is_none() {
             return Ok(());
         }
         let at = Seconds::new(f64::from_bits(at_bits));
-        self.state.set_clock(at);
-        self.state.release(ConnectionId(id))?;
-        self.offer_sample(at);
+        state.set_clock(at);
+        state.release(ConnectionId(id))?;
+        self.offer_sample(state.state(), at);
         Ok(())
     }
 
     /// Applies one fault event at its scheduled time.
-    fn apply_fault(&mut self, e: FaultEvent) -> Result<(), CacError> {
-        self.state.set_clock(e.at);
+    fn apply_fault(&mut self, state: &mut ShardedState, e: FaultEvent) -> Result<(), CacError> {
+        state.set_clock(e.at);
         self.recovery.faults_injected += 1;
+        let at = e.at;
         match e.kind {
-            FaultKind::LinkDown(i) => self.component_down(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingDown(i) => self.component_down(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevDown(i) => self.component_down(e.at, Component::IfDev(RingId(i))),
-            FaultKind::LinkUp(i) => self.component_up(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingUp(i) => self.component_up(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevUp(i) => self.component_up(e.at, Component::IfDev(RingId(i))),
-            FaultKind::DeadlineShrink { factor } => self.deadline_shrink(e.at, factor),
+            FaultKind::LinkDown(i) => self.component_down(state, at, Component::Link(LinkId(i))),
+            FaultKind::RingDown(i) => self.component_down(state, at, Component::Ring(RingId(i))),
+            FaultKind::IfDevDown(i) => self.component_down(state, at, Component::IfDev(RingId(i))),
+            FaultKind::LinkUp(i) => self.component_up(state, at, Component::Link(LinkId(i))),
+            FaultKind::RingUp(i) => self.component_up(state, at, Component::Ring(RingId(i))),
+            FaultKind::IfDevUp(i) => self.component_up(state, at, Component::IfDev(RingId(i))),
+            FaultKind::DeadlineShrink { factor } => self.deadline_shrink(state, at, factor),
             // `FaultKind` is non_exhaustive; unknown events are inert.
             _ => Ok(()),
         }
@@ -808,34 +677,38 @@ impl ServiceEngine {
     /// A component fails: the CAC tears down every connection crossing
     /// it and reclaims their synchronous bandwidth; the engine parks
     /// the victims for re-admission at repair time.
-    fn component_down(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let report = self.state.set_component_down(component)?;
+    fn component_down(
+        &mut self,
+        state: &mut ShardedState,
+        at: Seconds,
+        component: Component,
+    ) -> Result<(), CacError> {
+        let report = state.set_component_down(component)?;
         if !report.already_down {
             self.recovery.components_downed += 1;
-            self.open_faults.insert(component, at.value().to_bits());
+            self.pos.open_faults.insert(component, at.value().to_bits());
         }
         self.recovery.connections_dropped += report.torn.len() as u64;
         self.recovery.reclaimed_s += report.reclaimed_s.value();
         self.recovery.reclaimed_r += report.reclaimed_r.value();
         for torn in &report.torn {
-            if let Some((arrival, departs_bits)) = self.live.remove(&torn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
+            self.park(torn.id);
         }
-        self.offer_sample(at);
+        self.offer_sample(state.state(), at);
         Ok(())
     }
 
     /// A component is repaired: record the drain time and (when
     /// configured) greedily re-admit the parked connections.
-    fn component_up(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let was_down = self.state.set_component_up(component)?;
-        if was_down {
+    fn component_up(
+        &mut self,
+        state: &mut ShardedState,
+        at: Seconds,
+        component: Component,
+    ) -> Result<(), CacError> {
+        if state.set_component_up(component)? {
             self.recovery.components_restored += 1;
-            if let Some(bits) = self.open_faults.remove(&component) {
+            if let Some(bits) = self.pos.open_faults.remove(&component) {
                 let drain = at.value() - f64::from_bits(bits);
                 if drain > self.recovery.max_time_to_drain {
                     self.recovery.max_time_to_drain = drain;
@@ -843,7 +716,7 @@ impl ServiceEngine {
             }
         }
         if self.cfg.readmit {
-            self.readmit_parked(at)?;
+            self.readmit_parked(state, at)?;
         }
         Ok(())
     }
@@ -852,46 +725,52 @@ impl ServiceEngine {
     /// deadline to `deadline * factor` for this instant: connections
     /// whose admission-time bound exceeds it are evicted and (when
     /// configured) immediately re-admitted at a fresh allocation.
-    fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims: Vec<(ConnectionId, f64, f64)> = self
-            .state
+    fn deadline_shrink(
+        &mut self,
+        state: &mut ShardedState,
+        at: Seconds,
+        factor: f64,
+    ) -> Result<(), CacError> {
+        let victims: Vec<ConnectionId> = state
+            .state()
             .active()
             .iter()
             .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
-            .map(|c| {
-                (
-                    c.id,
-                    c.h_s.per_rotation().value(),
-                    c.h_r.per_rotation().value(),
-                )
-            })
+            .map(|c| c.id)
             .collect();
-        for (id, h_s, h_r) in victims {
-            self.state.release(id)?;
+        for id in victims {
+            let conn = state.release(id)?;
             self.recovery.connections_dropped += 1;
-            self.recovery.reclaimed_s += h_s;
-            self.recovery.reclaimed_r += h_r;
-            if let Some((arrival, departs_bits)) = self.live.remove(&id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
+            self.recovery.reclaimed_s += conn.h_s.per_rotation().value();
+            self.recovery.reclaimed_r += conn.h_r.per_rotation().value();
+            self.park(id);
         }
-        self.offer_sample(at);
+        self.offer_sample(state.state(), at);
         if self.cfg.readmit {
-            self.readmit_parked(at)?;
+            self.readmit_parked(state, at)?;
         }
         Ok(())
     }
 
+    /// Moves a torn-down live connection to the parked list.
+    fn park(&mut self, id: ConnectionId) {
+        if let Some((arrival, departs_bits)) = self.pos.live.remove(&id.0) {
+            self.pos.parked.push(Parked {
+                arrival,
+                departs_bits,
+            });
+        }
+    }
+
     /// Attempts to re-admit every parked connection whose holding time
-    /// has not yet expired. Successes rejoin the departure heap at
-    /// their original departure time; connections still blocked by a
-    /// down component stay parked for the next repair; all other
-    /// rejections abandon the connection.
-    fn readmit_parked(&mut self, now: Seconds) -> Result<(), CacError> {
-        let parked = std::mem::take(&mut self.parked);
+    /// has not yet expired, in place: re-admissions follow a barrier
+    /// (a repair, a shrink, a reconfiguration), so no speculation could
+    /// have read them. Successes rejoin the departure heap at their
+    /// original departure time; connections still blocked by a down
+    /// component stay parked for the next repair; all other rejections
+    /// abandon the connection.
+    fn readmit_parked(&mut self, state: &mut ShardedState, now: Seconds) -> Result<(), CacError> {
+        let parked = std::mem::take(&mut self.pos.parked);
         for p in parked {
             let departs = f64::from_bits(p.departs_bits);
             if departs <= now.value() {
@@ -904,18 +783,17 @@ impl ServiceEngine {
                 &self.schedule.arrivals[p.arrival],
             )?;
             self.recovery.readmit_attempts += 1;
-            let decision = self.decide(
-                now,
-                AuditKind::Readmit,
-                p.arrival,
-                spec,
-                Seconds::new(departs),
-            )?;
-            match &decision {
+            let request = Request {
+                at: now,
+                kind: AuditKind::Readmit,
+                arrival: p.arrival,
+                departs: Seconds::new(departs),
+            };
+            match self.decide(state, request, spec, None)? {
                 Decision::Admitted { .. } => self.recovery.readmitted += 1,
                 Decision::Rejected(RejectReason::ComponentUnavailable { .. }) => {
                     // The path is still blocked: wait for the next repair.
-                    self.parked.push(p);
+                    self.pos.parked.push(p);
                 }
                 Decision::Rejected(_) => {}
             }
@@ -923,96 +801,116 @@ impl ServiceEngine {
         Ok(())
     }
 
-    /// One admission decision, with all its bookkeeping: latency,
-    /// counters, the departure heap, the live map, the audit log, and
-    /// the utilization series.
-    fn decide(
+    /// Decides `spec` in place on `state` under the options in force
+    /// and records the decision. On a sharded run, `replaced` names the
+    /// shard whose conflicted speculation this decision replaces, with
+    /// that speculation's span timeline.
+    pub(crate) fn decide(
         &mut self,
-        at: Seconds,
-        kind: AuditKind,
-        arrival: usize,
+        state: &mut ShardedState,
+        request: Request,
         spec: ConnectionSpec,
-        departs: Seconds,
+        replaced: Option<(u32, Option<Trace>)>,
     ) -> Result<Decision, CacError> {
-        let source = (spec.source.ring, spec.source.station);
-        let dest = (spec.dest.ring, spec.dest.station);
-        let deadline = spec.deadline.value();
-        self.state.set_clock(at);
+        let mut m = Measured::default();
+        if self.shards.is_some() {
+            m.version = Some(state.version());
+            m.closure = state.closure_len(spec.source, spec.dest)?;
+            if let Some((shard, discarded)) = replaced {
+                m.shard = Some(shard);
+                m.conflict = true;
+                m.discarded = discarded;
+            }
+        }
+        state.set_clock(request.at);
         let t0 = Instant::now();
-        let (decision, spans) = if self.cfg.obs.spans && hetnet_obs::is_enabled() {
-            let state = &mut self.state;
-            let options = &self.cfg.options;
-            let (decision, trace) =
-                hetnet_obs::collect(self.cfg.obs.span_capacity, || state.admit(spec, options));
-            (decision?, Some(trace))
-        } else {
-            (self.state.admit(spec, &self.cfg.options)?, None)
-        };
-        let latency_seconds = t0.elapsed().as_secs_f64();
-        self.latency.record(Seconds::new(latency_seconds));
-        self.mx.on_decision(
-            matches!(decision, Decision::Admitted { .. }),
-            latency_seconds,
-            &self.state.last_cache_stats().unwrap_or_default(),
-            &self.state.last_fast_path_stats().unwrap_or_default(),
-        );
-        let outcome = AuditOutcome::from_decision(&decision);
-        let correlation = self.state.decisions() - 1;
-        let reject_class = match &outcome {
-            AuditOutcome::Rejected { class, .. } => Some(*class),
-            _ => None,
-        };
+        let (decision, spans) = with_spans(&self.cfg.obs, || state.admit(spec))?;
+        m.latency = t0.elapsed().as_secs_f64();
+        m.spans = spans;
+        let decided = state.state();
+        m.cache = decided.last_cache_stats().unwrap_or_default();
+        m.fast = decided.last_fast_path_stats().unwrap_or_default();
+        m.trace = decided.last_decision_trace();
+        if let Some(shards) = &mut self.shards {
+            shards.inline(m.cache);
+        }
+        self.record(state, &request, &decision, m);
+        Ok(decision)
+    }
+
+    /// Records one decision already applied to `state`: latency, cache
+    /// and fast-path gauges, delay attribution, metrics, the flight
+    /// recorder, counters, the departure heap, the live map, the audit
+    /// log, and the utilization series.
+    pub(crate) fn record(
+        &mut self,
+        state: &ShardedState,
+        request: &Request,
+        decision: &Decision,
+        m: Measured<'_>,
+    ) {
+        self.latency.record(Seconds::new(m.latency));
+        self.cache.absorb(m.cache);
+        self.fast.absorb(m.fast);
+        if let Some(trace) = m.trace {
+            self.attribution.absorb(trace);
+        }
+        if let Some(shards) = &mut self.shards {
+            shards.closure(m.closure);
+        }
+        self.mx
+            .on_decision(decision.is_admitted(), m.latency, &m.cache, &m.fast);
+        let outcome = AuditOutcome::from_decision(decision);
+        let seq = state.state().decisions() - 1;
         let observation = FlightObservation {
-            correlation,
-            shard: None,
-            at_seconds: at.value(),
-            latency_seconds,
-            conflict: false,
+            correlation: seq,
+            shard: m.shard,
+            at_seconds: request.at.value(),
+            latency_seconds: m.latency,
+            conflict: m.conflict,
             reconfig: false,
-            reject_class,
+            reject_class: match &outcome {
+                AuditOutcome::Rejected { class, .. } => Some(*class),
+                _ => None,
+            },
         };
-        let state = &self.state;
         let captured = self.flight.observe(&observation, || {
-            let trace_json = state
-                .last_decision_trace()
-                .map_or_else(|| "null".to_string(), |t| t.to_json_line());
-            let spans_json = spans.as_ref().map_or_else(
-                || "[]".to_string(),
-                |t| spans_to_json(&[("decide", None, t)], None),
-            );
-            (trace_json, spans_json)
+            let trace_json = m
+                .trace
+                .map_or_else(|| "null".to_string(), DecisionTrace::to_json_line);
+            (trace_json, m.spans_json())
         });
         if captured.is_some() {
             self.mx.outlier_captured();
         }
-        match &decision {
+        match decision {
             Decision::Admitted { id, .. } => {
                 self.counters.admitted += 1;
-                self.departures.push(departure(departs, *id));
-                self.live.insert(id.0, (arrival, departs.value().to_bits()));
+                let departs = request.departs.value().to_bits();
+                self.pos.departures.push(Reverse((departs, id.0)));
+                self.pos.live.insert(id.0, (request.arrival, departs));
             }
             Decision::Rejected(reason) => self.counters.count_rejection(reason),
         }
+        let a = &self.schedule.arrivals[request.arrival];
         self.audit.append(AuditEntry {
-            seq: correlation,
-            at,
-            kind,
-            arrival,
-            source,
-            dest,
-            deadline,
+            seq,
+            at: request.at,
+            kind: request.kind,
+            arrival: request.arrival,
+            source: a.source,
+            dest: a.dest,
+            deadline: a.deadline.value(),
             outcome,
         });
-        self.offer_sample(at);
-        Ok(decision)
+        self.offer_sample(state.state(), request.at);
     }
 
     /// Offers a post-event utilization sample, tracks the peak, and
     /// cuts any telemetry frames due at or before `at`.
-    fn offer_sample(&mut self, at: Seconds) {
-        let active = self.state.active().len();
+    fn offer_sample(&mut self, state: &NetworkState, at: Seconds) {
+        let active = state.active().len();
         self.peak_active = self.peak_active.max(active);
-        let state = &self.state;
         let caps = &self.ring_caps;
         self.series.offer(at, active, || utilization(state, caps));
         self.mx.set_active(active);
@@ -1020,27 +918,31 @@ impl ServiceEngine {
         self.telemetry.offer(at.value());
     }
 
-    /// Assembles the final [`ServiceRun`].
-    fn into_run(mut self) -> ServiceRun {
-        self.recovery.undrained = self.open_faults.len() as u64;
+    /// Captures the loop's position between arrivals.
+    pub(crate) fn take_checkpoint(&self, state: &ShardedState) -> EngineCheckpoint {
+        EngineCheckpoint {
+            state: state.state().snapshot(),
+            pos: self.pos.clone(),
+        }
+    }
+
+    /// Assembles the final [`ServiceRun`] (its report's `shard_cache`
+    /// is left for the sharded engine to fill).
+    pub(crate) fn into_run(mut self, state: ShardedState) -> ServiceRun {
+        self.recovery.undrained = self.pos.open_faults.len() as u64;
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        self.state.set_observer(None);
         self.telemetry.finish(self.last_event);
-        let cache = *self.gauges.lock().expect("gauges mutex poisoned");
-        let fast_path = *self.fast.lock().expect("fast-path mutex poisoned");
-        let delay_attribution = StageDelaySummary::from_attribution(
-            &self.attribution.lock().expect("attribution mutex poisoned"),
-        );
         let ring_utilization = (0..self.ring_caps.len())
             .map(|r| self.series.ring_summary(r))
             .collect();
         let counters = self.counters;
+        let state = state.into_state();
         let report = ServiceReport {
             requests: counters.total(),
             counters,
             latency: LatencySummary::from_histogram(&self.latency),
-            cache,
-            fast_path,
+            cache: self.cache,
+            fast_path: self.fast,
             blocking_probability: counters.blocking_probability(),
             requests_per_sec: if wall_seconds > 0.0 {
                 counters.total() as f64 / wall_seconds
@@ -1050,11 +952,11 @@ impl ServiceEngine {
             wall_seconds,
             span: self.schedule.span(),
             peak_active: self.peak_active,
-            final_active: self.state.active().len(),
+            final_active: state.active().len(),
             ring_utilization,
             audit_len: self.audit.len(),
-            topology: self.topology,
-            delay_attribution,
+            topology: state.network().summary().to_string(),
+            delay_attribution: StageDelaySummary::from_attribution(&self.attribution),
             recovery: self.recovery,
             reconfig: self.reconfig_metrics,
             shard_cache: Vec::new(),
@@ -1064,9 +966,141 @@ impl ServiceEngine {
             report,
             audit: self.audit,
             series: self.series,
-            state: self.state,
+            state,
             telemetry: self.telemetry_ring.drain(),
         }
+    }
+}
+
+/// The stepwise sequential admission engine: [`ServiceEngine::new`]
+/// positions it at the start of the schedule,
+/// [`ServiceEngine::step_arrival`] processes one arrival (plus every
+/// departure, fault and reconfiguration due before it) and decides it
+/// in place, and [`ServiceEngine::finish`] runs to completion and
+/// assembles the [`ServiceRun`]. The free function [`run`] does all
+/// three.
+#[derive(Debug)]
+pub struct ServiceEngine {
+    events: EventLoop,
+    state: ShardedState,
+}
+
+impl ServiceEngine {
+    /// Builds an engine positioned before the first event of `cfg`'s
+    /// schedules.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacError::InvalidRequest`] if the churn shape does not
+    /// match the network, or the scheduler, class count or
+    /// reconfiguration schedule is invalid.
+    pub fn new(network: HetNetwork, cfg: &ServiceConfig) -> Result<Self, CacError> {
+        let (events, state) = EventLoop::start(network, cfg, None, EvalCacheCaps::default())?;
+        Ok(Self { events, state })
+    }
+
+    /// Rebuilds an engine mid-run from a checkpoint taken by either
+    /// engine: the network state is restored bit-for-bit from the
+    /// snapshot, the churn, fault and reconfiguration schedules are
+    /// regenerated from `cfg`, and the scheduling state (departures,
+    /// parked connections, cursors) comes from the checkpoint. Stepping
+    /// the result reproduces the original run's remaining decisions
+    /// exactly.
+    ///
+    /// Metrics (counters, latency, utilization, recovery) restart at
+    /// zero and cover only the post-checkpoint segment; the audit log
+    /// resumes at the checkpoint's decision sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacError::SnapshotMismatch`] if the snapshot does not
+    /// fit the network or the cursors exceed the regenerated schedules,
+    /// plus anything [`ServiceEngine::new`] can return.
+    pub fn recover(
+        network: HetNetwork,
+        cfg: &ServiceConfig,
+        checkpoint: &EngineCheckpoint,
+    ) -> Result<Self, CacError> {
+        let (events, state) =
+            EventLoop::start(network, cfg, Some(checkpoint), EvalCacheCaps::default())?;
+        Ok(Self { events, state })
+    }
+
+    /// Captures the engine's position between arrivals.
+    #[must_use]
+    pub fn checkpoint(&self) -> EngineCheckpoint {
+        self.events.take_checkpoint(&self.state)
+    }
+
+    /// The network state as of the last processed event.
+    #[must_use]
+    pub fn state(&self) -> &NetworkState {
+        self.state.state()
+    }
+
+    /// The audit log so far.
+    #[must_use]
+    pub fn audit(&self) -> &AuditLog {
+        &self.events.audit
+    }
+
+    /// Arrivals not yet processed.
+    #[must_use]
+    pub fn pending_arrivals(&self) -> usize {
+        self.events.schedule.arrivals.len() - self.events.pos.next_arrival
+    }
+
+    /// The shared metrics registry this engine updates. Snapshot it
+    /// from any thread to watch the run live.
+    #[must_use]
+    pub fn registry(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.events.registry)
+    }
+
+    /// The always-on outlier flight recorder.
+    #[must_use]
+    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.events.flight)
+    }
+
+    /// The shared ring periodic telemetry frames land in (empty unless
+    /// [`ObsOptions::telemetry_period`] is set). Poll it from another
+    /// thread for a `hetnet-top`-style live view.
+    #[must_use]
+    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
+        Arc::clone(&self.events.telemetry_ring)
+    }
+
+    /// Processes the next scheduled arrival, after every departure,
+    /// fault and reconfiguration due at or before it (ties: departure <
+    /// fault < reconfig < arrival). Returns `false` when the schedule is
+    /// exhausted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`CacError`] from the underlying admissions and
+    /// releases (rejections are outcomes, not errors).
+    pub fn step_arrival(&mut self) -> Result<bool, CacError> {
+        let idx = self.events.pos.next_arrival;
+        if idx == self.events.schedule.arrivals.len() {
+            return Ok(false);
+        }
+        let (request, spec) = self.events.arrival(idx)?;
+        self.events.advance_to(&mut self.state, request.at)?;
+        self.events.decide(&mut self.state, request, spec, None)?;
+        self.events.pos.next_arrival += 1;
+        Ok(true)
+    }
+
+    /// Runs every remaining event and assembles the [`ServiceRun`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`CacError`] from the remaining events.
+    pub fn finish(mut self) -> Result<ServiceRun, CacError> {
+        while self.step_arrival()? {}
+        self.events.drain(&mut self.state)?;
+        Ok(self.events.into_run(self.state))
     }
 }
 
@@ -1180,8 +1214,19 @@ pub fn entries_equivalent(a: &AuditEntry, b: &AuditEntry) -> bool {
     }
 }
 
+/// Each ring's allocatable synchronous time, the utilization
+/// denominators.
+fn ring_caps(state: &NetworkState) -> Vec<f64> {
+    state
+        .network()
+        .rings()
+        .iter()
+        .map(|r| r.allocatable().value())
+        .collect()
+}
+
 /// Per-ring utilization: allocated fraction of allocatable time.
-pub(crate) fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
+fn utilization(state: &NetworkState, caps: &[f64]) -> Vec<f64> {
     caps.iter()
         .enumerate()
         .map(|(r, &cap)| {
@@ -1584,7 +1629,10 @@ mod tests {
             assert!(engine.step_arrival().unwrap());
         }
         let checkpoint = engine.checkpoint();
-        assert_eq!(checkpoint.next_reconfig, 0, "reconfig must still be ahead");
+        assert_eq!(
+            checkpoint.pos.next_reconfig, 0,
+            "reconfig must still be ahead"
+        );
         let seq0 = checkpoint.decision_seq() as usize;
         let full = engine.finish().unwrap();
         let tail = &full.audit.entries()[seq0..];
@@ -1606,11 +1654,11 @@ mod tests {
     fn checkpoint_after_a_reconfig_resumes_at_the_new_parameters() {
         let cfg = reconfigured_cfg(140, 43);
         let mut engine = ServiceEngine::new(HetNetwork::paper_topology(), &cfg).unwrap();
-        while engine.next_reconfig == 0 {
+        while engine.events.pos.next_reconfig == 0 {
             assert!(engine.step_arrival().unwrap(), "reconfig never fired");
         }
         let checkpoint = engine.checkpoint();
-        assert_eq!(checkpoint.next_reconfig, 1);
+        assert_eq!(checkpoint.pos.next_reconfig, 1);
         let seq0 = checkpoint.decision_seq() as usize;
         let full = engine.finish().unwrap();
         let tail = &full.audit.entries()[seq0..];

@@ -5,12 +5,16 @@
 //! teardowns. This crate closes that gap:
 //!
 //! * [`engine`] — consumes a seeded churn schedule
-//!   ([`hetnet_sim::churn`]) as a merged connect/disconnect/fault
-//!   event stream, driving one [`hetnet_cac::cac::NetworkState`] with
-//!   a persistent evaluator cache; supports checkpointing a run to a
+//!   ([`hetnet_sim::churn`]) as a merged
+//!   connect/disconnect/fault/reconfiguration event stream, driving one
+//!   [`hetnet_cac::cac::NetworkState`] with a persistent evaluator
+//!   cache; supports checkpointing a run to a
 //!   [`hetnet_cac::snapshot::StateSnapshot`] and deterministically
 //!   recovering it against the audit-log tail
 //!   ([`engine::verify_recovery`]);
+//! * [`sharded`] — the same event loop fed by worker threads that
+//!   speculate arrivals over their dependency closures; commits are
+//!   validated against a conflict log, so decisions match [`engine`]'s;
 //! * [`metrics`] — dependency-free structured metrics: decision
 //!   counters per reject class, a fixed-bucket HDR-style latency
 //!   histogram (p50/p95/p99), evaluator-cache gauges, and a sampled

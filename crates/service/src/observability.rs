@@ -25,6 +25,7 @@
 //! merges into one coherent causal trace.
 
 use hetnet_cac::delay::CacheStats;
+use hetnet_cac::error::CacError;
 use hetnet_cac::incremental::FastPathStats;
 use hetnet_obs::registry::{Counter, Gauge, Histogram};
 use hetnet_obs::{MetricsRegistry, SharedRing, Trace};
@@ -261,6 +262,24 @@ impl Telemetry {
             text: self.registry.to_openmetrics(),
         });
         self.frames.inc();
+    }
+}
+
+/// Runs one decision, collecting its span timeline when `opts` asks
+/// for spans and the collector is compiled in.
+///
+/// # Errors
+///
+/// Propagates the decision's error.
+pub(crate) fn with_spans<T>(
+    opts: &ObsOptions,
+    decide: impl FnOnce() -> Result<T, CacError>,
+) -> Result<(T, Option<Trace>), CacError> {
+    if opts.spans && hetnet_obs::is_enabled() {
+        let (decided, trace) = hetnet_obs::collect(opts.span_capacity, decide);
+        Ok((decided?, Some(trace)))
+    } else {
+        Ok((decide()?, None))
     }
 }
 

@@ -1,74 +1,70 @@
-//! The sharded admission engine: a thread-per-shard front end over one
-//! shared [`ShardedState`] — a [`NetworkState`] behind a conflict log.
+//! The sharded admission engine: the sequential engine's event loop
+//! fed by speculating workers.
 //!
-//! [`crate::engine::ServiceEngine`] decides every arrival in turn on
-//! one [`NetworkState`]. This engine partitions the event stream
-//! instead: arrivals are routed to a worker by source ring
-//! (`ring % workers`), each worker *speculates* its decisions over the
-//! candidate's dependency closure (a scoped state of typically a few
-//! hundred connections, not the whole network), and a single
-//! **committer** walks the merged event stream in global order,
-//! validating each speculation against the conflict log and applying
-//! it — or recomputing it inline when a conflicting commit landed since
-//! the speculation was read (optimistic concurrency,
-//! validate-then-commit). Departures and faults are applied by the
-//! committer at their event slots, exactly where the sequential engine
-//! applies them.
+//! [`crate::engine::ServiceEngine`] decides every arrival in place, in
+//! turn. This engine runs the same event loop — departures, faults,
+//! reconfigurations, re-admissions and every piece of bookkeeping at
+//! the same event slots — over one [`ShardedState`] behind a lock, and
+//! takes most arrival decisions off the loop's thread: arrivals are
+//! routed to a worker by source ring (`ring % workers`), and each
+//! worker *speculates* its decisions over the candidate's dependency
+//! closure (a scoped state of typically a few hundred connections, not
+//! the whole network), under the options in force read with it. The
+//! loop — the **committer** — walks the merged event stream in global
+//! order, validates each speculation against the conflict log and
+//! commits it, or decides the arrival again in place when a
+//! conflicting commit, a barrier (fault or repair) or a
+//! reconfiguration landed since the speculation was read (optimistic
+//! concurrency, validate-then-commit).
 //!
 //! Because commits happen strictly in event order and conflicted
-//! speculations are recomputed sequentially, the committed decision
+//! speculations are decided again in place, the committed decision
 //! stream — ids, allocations, delay bounds, rejection classes, audit
 //! sequence — is the sequential engine's stream (`DESIGN.md` §12 gives
-//! the argument; `tests/sharded_replay.rs` holds it over random churn
-//! and fault schedules, and [`runs_equivalent`] is the certifying
-//! predicate). The audit log is appended only at commit time, so it
-//! stays gap-free without any cross-thread ordering protocol.
+//! the argument; `tests/sharded_replay.rs` holds it over random churn,
+//! fault and reconfiguration schedules, and [`runs_equivalent`] is the
+//! certifying predicate). The audit log is appended only at commit
+//! time, so it stays gap-free without any cross-thread ordering
+//! protocol.
 //!
 //! A run with one worker is the same algorithm minus parallelism —
 //! useful both as the conflict-free baseline and for certifying that
 //! worker count does not leak into decisions.
 
-use crate::audit::{AuditEntry, AuditKind, AuditLog, AuditOutcome};
+use crate::audit::AuditLog;
 use crate::engine::{
-    arrival_spec, departure, entries_equivalent, prepare, utilization, EngineCheckpoint, Prepared,
-    ServiceConfig, ServiceRun,
+    arrival_spec, entries_equivalent, EngineCheckpoint, EventLoop, Measured, ServiceConfig,
+    ServiceRun,
 };
-use crate::metrics::{
-    CacheGauges, DecisionCounters, DelayAttribution, FastPathGauges, LatencyHistogram,
-    RecoveryMetrics, UtilizationSeries,
-};
-use crate::observability::{spans_to_json, EngineMetrics, SpanPhase, Telemetry, TelemetryFrame};
-use crate::report::{LatencySummary, ServiceReport, StageDelaySummary};
-use hetnet_cac::cac::{Decision, EvalCacheCaps, NetworkState, RejectReason};
-use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
-use hetnet_cac::delay::CacheStats;
+use crate::metrics::{CacheGauges, UtilizationSeries};
+use crate::observability::{with_spans, TelemetryFrame};
+use crate::report::ServiceReport;
+use hetnet_cac::cac::{Decision, EvalCacheCaps, NetworkState};
+use hetnet_cac::connection::ConnectionSpec;
+use hetnet_cac::delay::{CacheStats, EvalCache};
 use hetnet_cac::error::CacError;
-use hetnet_cac::incremental::FastPathStats;
-use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId};
+use hetnet_cac::network::HetNetwork;
 use hetnet_cac::shard::{Footprint, ShardedState};
 use hetnet_cac::snapshot::StateSnapshot;
 use hetnet_cac::trace::DecisionTrace;
 use hetnet_obs::registry::{Counter, Gauge};
-use hetnet_obs::{FlightObservation, FlightRecorder, MetricsRegistry, SharedRing, Trace};
-use hetnet_sim::churn::{ChurnArrival, ChurnSchedule};
-use hetnet_sim::fault::{FaultEvent, FaultKind};
-use hetnet_traffic::envelope::SharedEnvelope;
+use hetnet_obs::{FlightRecorder, MetricsRegistry, SharedRing};
 use hetnet_traffic::units::Seconds;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
-/// Worker-side evaluator-cache caps: generous enough that one large
-/// closure does not evict the whole working set every decision (the
-/// flat engine's defaults are tuned for one small network). Cache
-/// contents never affect decisions, only speed.
+/// Evaluator-cache caps of the workers' scoped states and of the shared
+/// state the committer decides on in place: generous enough that one
+/// large closure does not evict the whole working set every decision
+/// (the sequential engine's defaults are tuned for one small network).
+/// Cache contents never affect decisions, only speed.
 const WORKER_CACHE_CAPS: EvalCacheCaps = EvalCacheCaps {
     stage1: 1 << 16,
     mux: 1 << 18,
     receive: 1 << 18,
 };
+
+const POISONED: &str = "sharded state lock poisoned";
 
 /// Concurrency and conflict statistics of one sharded run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -77,10 +73,10 @@ pub struct ShardingStats {
     pub workers: usize,
     /// Decisions decided speculatively by workers.
     pub speculated: u64,
-    /// Speculations invalidated at commit time and recomputed inline
-    /// (their speculative work is discarded).
+    /// Speculations invalidated at commit time and decided again in
+    /// place (their speculative work is discarded).
     pub conflicts: u64,
-    /// Decisions computed inline by the committer (conflict retries
+    /// Decisions computed in place by the committer (conflict retries
     /// plus fault-driven re-admissions, which never speculate).
     pub inline_decisions: u64,
     /// Largest dependency closure any decision ran over.
@@ -112,9 +108,8 @@ pub struct ShardedRun {
     pub audit: AuditLog,
     /// Sampled ring-utilization time series.
     pub series: UtilizationSeries,
-    /// The final admission state, merged across shards — equal, string
-    /// for string, to the sequential engine's final
-    /// `state.snapshot().to_json()`.
+    /// The final admission state — equal, string for string, to the
+    /// sequential engine's final `state.snapshot().to_json()`.
     pub final_snapshot: StateSnapshot,
     /// Concurrency and conflict statistics.
     pub sharding: ShardingStats,
@@ -137,552 +132,164 @@ impl ShardedRun {
     }
 }
 
-/// What a worker hands the committer for one speculated arrival.
-struct SpecMsg {
-    /// Index into the churn schedule's arrivals.
-    idx: usize,
-    decision: Decision,
-    footprint: Footprint,
-    latency: Seconds,
-    cache: CacheStats,
-    fast: FastPathStats,
-    trace: Option<DecisionTrace>,
-    /// Span timeline collected around the speculation (worker thread),
-    /// when [`crate::observability::ObsOptions::spans`] is on.
-    spans: Option<Trace>,
-    closure: usize,
-}
-
-/// One decision's worth of measurement, wherever it was computed.
-struct Measured {
-    decision: Decision,
-    latency: Seconds,
-    cache: CacheStats,
-    fast: FastPathStats,
-    trace: Option<DecisionTrace>,
-    closure: usize,
-    /// Version the deciding evaluation speculated at.
-    version: u64,
-    /// Worker shard the request was routed to (`None` for committer-
-    /// inline readmits).
-    shard: Option<u32>,
-    /// Whether the speculation was invalidated and recomputed.
-    conflict: bool,
-    /// The discarded speculation's span timeline (conflicts only).
-    spec_spans: Option<Trace>,
-    /// The committed decision's span timeline.
-    spans: Option<Trace>,
-}
-
-/// Decides `spec` over its dependency closure of `shared`, carrying
-/// `cache` across calls. This is the one decision procedure both
-/// workers and the committer run — they differ only in *when* the
-/// closure is read and whether the result must be validated.
-fn decide_scoped(
-    shared: &RwLock<ShardedState>,
-    cfg: &ServiceConfig,
-    spec: &ConnectionSpec,
-    at: Seconds,
-    cache: &mut Option<hetnet_cac::delay::EvalCache>,
-) -> Result<SpecMsg, CacError> {
-    let t0 = Instant::now();
-    let (mut scoped, footprint) = ShardedState::speculate(shared, spec.source, spec.dest)?;
-    let closure = scoped.active().len();
-    scoped.set_cache_caps(WORKER_CACHE_CAPS);
-    scoped.persist_eval_cache(cfg.persist_cache);
-    if let Some(c) = cache.take() {
-        scoped.inject_eval_cache(c);
-    }
-    scoped.set_fast_path(cfg.fast_path)?;
-    scoped.set_decision_tracing(cfg.trace_decisions);
-    scoped.set_clock(at);
-    let (decision, spans) = if cfg.obs.spans && hetnet_obs::is_enabled() {
-        let (decision, trace) = hetnet_obs::collect(cfg.obs.span_capacity, || {
-            scoped.admit(spec.clone(), &cfg.options)
-        });
-        (decision?, Some(trace))
-    } else {
-        (scoped.admit(spec.clone(), &cfg.options)?, None)
-    };
-    let latency = Seconds::new(t0.elapsed().as_secs_f64());
-    *cache = scoped.take_eval_cache();
-    Ok(SpecMsg {
-        idx: 0,
-        decision,
-        footprint,
-        latency,
-        cache: scoped.last_cache_stats().unwrap_or_default(),
-        fast: scoped.last_fast_path_stats().unwrap_or_default(),
-        trace: scoped.last_decision_trace().cloned(),
-        spans,
-        closure,
-    })
-}
-
-/// A connection torn down by a fault, waiting for a repair.
-#[derive(Clone, Copy, Debug)]
-struct Parked {
-    arrival: usize,
-    departs_bits: u64,
-}
-
-/// The committer: owns every piece of sequential bookkeeping the flat
-/// engine has, but decides arrivals by consuming worker speculations.
-struct Committer<'a> {
-    cfg: &'a ServiceConfig,
-    shared: &'a RwLock<ShardedState>,
-    schedule: &'a ChurnSchedule,
-    faults: &'a [FaultEvent],
-    envelope: SharedEnvelope,
-    clock: Seconds,
-    decision_seq: u64,
-    departures: BinaryHeap<Reverse<(u64, u64)>>,
-    live: BTreeMap<u64, (usize, u64)>,
-    parked: Vec<Parked>,
-    open_faults: BTreeMap<Component, u64>,
-    next_arrival: usize,
-    next_fault: usize,
-    counters: DecisionCounters,
-    latency: LatencyHistogram,
-    series: UtilizationSeries,
-    audit: AuditLog,
-    recovery: RecoveryMetrics,
-    gauges: CacheGauges,
-    fast: FastPathGauges,
-    attribution: DelayAttribution,
-    peak_active: usize,
-    ring_caps: Vec<f64>,
+/// The sharded run's statistics and metric families, kept by the
+/// event loop so its in-place decisions count too.
+#[derive(Debug)]
+pub(crate) struct ShardMetrics {
     stats: ShardingStats,
-    /// The committer's own carried evaluator cache, for inline
-    /// (conflict-retry and readmit) decisions.
-    inline_cache: Option<hetnet_cac::delay::EvalCache>,
-    /// Receivers of the per-worker speculation streams, indexed by
-    /// worker; `None` when running without workers (recovery replay of
-    /// fault-only tails).
-    spec_rx: Vec<Receiver<Result<SpecMsg, CacError>>>,
-    /// Per-worker acks: a worker may speculate its next arrival only
-    /// after its previous one committed (without this, consecutive
-    /// same-shard arrivals would conflict essentially always).
-    ack_tx: Vec<SyncSender<()>>,
-    /// Canonical metric families, registered into the run's shared
-    /// registry (the same registry the workers register into).
-    mx: EngineMetrics,
     /// Per-shard evaluator-cache gauges: one entry per worker (all work
     /// that worker's speculations did, kept or discarded), plus one
-    /// final entry for committer-inline decisions (conflict recomputes
-    /// and readmits).
-    shard_gauges: Vec<CacheGauges>,
+    /// final entry for the committer's in-place decisions (conflict
+    /// recomputes and readmits).
+    gauges: Vec<CacheGauges>,
     conflicts_total: Counter,
     inline_total: Counter,
     /// Conflict-log version most recently validated by the committer.
     ledger_version: Gauge,
-    flight: Arc<FlightRecorder>,
-    telemetry: Telemetry,
 }
 
-impl Committer<'_> {
-    fn worker_of(&self, idx: usize) -> usize {
-        let workers = self.spec_rx.len();
-        self.schedule.arrivals[idx].source.0 % workers.max(1)
-    }
-
-    /// Processes every departure and fault due at or before `t`
-    /// (departures first on ties), mirroring the sequential engine.
-    fn advance_to(&mut self, t: Seconds) -> Result<(), CacError> {
-        loop {
-            let dep_at = self
-                .departures
-                .peek()
-                .map(|&Reverse((bits, _))| f64::from_bits(bits));
-            let fault_at = self.faults.get(self.next_fault).map(|e| e.at.value());
-            let dep_due = dep_at.is_some_and(|at| at <= t.value());
-            let fault_due = fault_at.is_some_and(|at| at <= t.value());
-            if dep_due && (!fault_due || dep_at <= fault_at) {
-                self.pop_departure()?;
-            } else if fault_due {
-                let e = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(e)?;
-            } else {
-                return Ok(());
-            }
+impl ShardMetrics {
+    fn register(registry: &MetricsRegistry, workers: usize) -> Self {
+        Self {
+            stats: ShardingStats {
+                workers,
+                ..ShardingStats::default()
+            },
+            gauges: vec![CacheGauges::default(); workers + 1],
+            conflicts_total: registry.counter(
+                "hetnet_commit_conflicts_total",
+                "Speculations invalidated at commit and recomputed inline.",
+                &[],
+            ),
+            inline_total: registry.counter(
+                "hetnet_inline_decisions_total",
+                "Decisions computed inline by the committer (conflicts and readmits).",
+                &[],
+            ),
+            ledger_version: registry.gauge(
+                "hetnet_ledger_version",
+                "Ledger version most recently validated by the committer.",
+                &[],
+            ),
         }
     }
 
-    fn pop_departure(&mut self) -> Result<(), CacError> {
-        let Reverse((at_bits, id)) = self.departures.pop().expect("caller peeked a departure");
-        if self.live.remove(&id).is_none() {
-            return Ok(());
-        }
-        let at = Seconds::new(f64::from_bits(at_bits));
-        self.clock = at;
-        self.shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .release(ConnectionId(id))?;
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    fn apply_fault(&mut self, e: FaultEvent) -> Result<(), CacError> {
-        self.clock = e.at;
-        self.recovery.faults_injected += 1;
-        match e.kind {
-            FaultKind::LinkDown(i) => self.component_down(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingDown(i) => self.component_down(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevDown(i) => self.component_down(e.at, Component::IfDev(RingId(i))),
-            FaultKind::LinkUp(i) => self.component_up(e.at, Component::Link(LinkId(i))),
-            FaultKind::RingUp(i) => self.component_up(e.at, Component::Ring(RingId(i))),
-            FaultKind::IfDevUp(i) => self.component_up(e.at, Component::IfDev(RingId(i))),
-            FaultKind::DeadlineShrink { factor } => self.deadline_shrink(e.at, factor),
-            _ => Ok(()),
-        }
-    }
-
-    fn component_down(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let report = self
-            .shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .set_component_down(component)?;
-        if !report.already_down {
-            self.recovery.components_downed += 1;
-            self.open_faults.insert(component, at.value().to_bits());
-        }
-        self.recovery.connections_dropped += report.torn.len() as u64;
-        self.recovery.reclaimed_s += report.reclaimed_s.value();
-        self.recovery.reclaimed_r += report.reclaimed_r.value();
-        for torn in &report.torn {
-            if let Some((arrival, departs_bits)) = self.live.remove(&torn.id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        Ok(())
-    }
-
-    fn component_up(&mut self, at: Seconds, component: Component) -> Result<(), CacError> {
-        let was_down = self
-            .shared
-            .write()
-            .expect("sharded state lock poisoned")
-            .set_component_up(component)?;
-        if was_down {
-            self.recovery.components_restored += 1;
-            if let Some(bits) = self.open_faults.remove(&component) {
-                let drain = at.value() - f64::from_bits(bits);
-                if drain > self.recovery.max_time_to_drain {
-                    self.recovery.max_time_to_drain = drain;
-                }
-            }
-        }
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    fn deadline_shrink(&mut self, at: Seconds, factor: f64) -> Result<(), CacError> {
-        let victims: Vec<ConnectionId> = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .state()
-            .active()
-            .iter()
-            .filter(|c| c.delay_bound.value() > c.spec.deadline.value() * factor)
-            .map(|c| c.id)
-            .collect();
-        for id in victims {
-            let conn = self
-                .shared
-                .write()
-                .expect("sharded state lock poisoned")
-                .release(id)?;
-            self.recovery.connections_dropped += 1;
-            self.recovery.reclaimed_s += conn.h_s.per_rotation().value();
-            self.recovery.reclaimed_r += conn.h_r.per_rotation().value();
-            if let Some((arrival, departs_bits)) = self.live.remove(&id.0) {
-                self.parked.push(Parked {
-                    arrival,
-                    departs_bits,
-                });
-            }
-        }
-        self.offer_sample(at);
-        if self.cfg.readmit {
-            self.readmit_parked(at)?;
-        }
-        Ok(())
-    }
-
-    /// Re-admission attempts are inherently sequential (they follow a
-    /// barrier-raising repair), so the committer decides them inline.
-    fn readmit_parked(&mut self, now: Seconds) -> Result<(), CacError> {
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            let departs = f64::from_bits(p.departs_bits);
-            if departs <= now.value() {
-                self.recovery.expired_in_park += 1;
-                continue;
-            }
-            let spec = arrival_spec(self.cfg, &self.envelope, &self.schedule.arrivals[p.arrival])?;
-            self.recovery.readmit_attempts += 1;
-            let measured = self.decide_inline(&spec, now)?;
-            let decision = self.commit(
-                now,
-                AuditKind::Readmit,
-                p.arrival,
-                &spec,
-                Seconds::new(departs),
-                measured,
-            )?;
-            match &decision {
-                Decision::Admitted { .. } => self.recovery.readmitted += 1,
-                Decision::Rejected(RejectReason::ComponentUnavailable { .. }) => {
-                    self.parked.push(p);
-                }
-                Decision::Rejected(_) => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn decide_inline(&mut self, spec: &ConnectionSpec, at: Seconds) -> Result<Measured, CacError> {
-        let msg = decide_scoped(self.shared, self.cfg, spec, at, &mut self.inline_cache)?;
+    /// Counts one decision the committer took in place.
+    pub(crate) fn inline(&mut self, cache: CacheStats) {
         self.stats.inline_decisions += 1;
         self.inline_total.inc();
-        let last = self.shard_gauges.len() - 1;
-        self.shard_gauges[last].absorb(msg.cache);
-        Ok(Measured {
-            decision: msg.decision,
-            latency: msg.latency,
-            cache: msg.cache,
-            fast: msg.fast,
-            trace: msg.trace,
-            closure: msg.closure,
-            version: msg.footprint.version(),
-            shard: None,
-            conflict: false,
-            spec_spans: None,
-            spans: msg.spans,
-        })
+        self.gauges[self.stats.workers].absorb(cache);
     }
 
-    /// Consumes one worker speculation for `idx`, validates it against
-    /// the ledger, recomputing inline on conflict, and commits.
-    fn commit_arrival(&mut self, idx: usize, a: ChurnArrival) -> Result<(), CacError> {
-        let w = self.worker_of(idx);
-        let msg = self.spec_rx[w]
-            .recv()
-            .expect("worker hung up mid-schedule")?;
-        debug_assert_eq!(msg.idx, idx, "worker stream out of order");
-        self.advance_to(a.at)?;
-        self.stats.speculated += 1;
-        self.shard_gauges[w].absorb(msg.cache);
-        self.ledger_version.set(msg.footprint.version() as f64);
-        let conflicted = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .conflicts(&msg.footprint);
-        let spec = arrival_spec(self.cfg, &self.envelope, &a)?;
-        let measured = if conflicted {
-            self.stats.conflicts += 1;
-            self.conflicts_total.inc();
-            let spec_spans = msg.spans;
-            let mut measured = self.decide_inline(&spec, a.at)?;
-            measured.shard = Some(w as u32);
-            measured.conflict = true;
-            measured.spec_spans = spec_spans;
-            measured
-        } else {
-            Measured {
-                decision: msg.decision,
-                latency: msg.latency,
-                cache: msg.cache,
-                fast: msg.fast,
-                trace: msg.trace,
-                closure: msg.closure,
-                version: msg.footprint.version(),
-                shard: Some(w as u32),
-                conflict: false,
-                spec_spans: None,
-                spans: msg.spans,
-            }
-        };
-        self.commit(
-            a.at,
-            AuditKind::Arrival,
-            idx,
-            &spec,
-            a.at + a.holding,
-            measured,
-        )?;
-        let _ = self.ack_tx[w].send(());
-        Ok(())
-    }
-
-    /// Applies one decided request: the shared state's commit (whose id
-    /// counter is authoritative — it equals the sequential engine's),
-    /// bookkeeping, and the audit append.
-    fn commit(
-        &mut self,
-        at: Seconds,
-        kind: AuditKind,
-        arrival: usize,
-        spec: &ConnectionSpec,
-        departs: Seconds,
-        measured: Measured,
-    ) -> Result<Decision, CacError> {
-        let Measured {
-            decision: decided,
-            latency,
-            cache,
-            fast,
-            trace,
-            closure,
-            version,
-            shard,
-            conflict,
-            spec_spans,
-            spans,
-        } = measured;
-        self.clock = at;
-        self.latency.record(latency);
-        self.gauges.absorb(cache);
-        self.fast.absorb(fast);
-        if let Some(trace) = &trace {
-            self.attribution.absorb(trace);
-        }
+    /// Counts the closure a committed decision read.
+    pub(crate) fn closure(&mut self, closure: usize) {
         self.stats.peak_closure = self.stats.peak_closure.max(closure);
         self.stats.closure_sum += closure as u64;
-        let decision = match decided {
-            Decision::Admitted {
-                h_s,
-                h_r,
-                delay_bound,
-                ..
-            } => {
-                let id = self
-                    .shared
-                    .write()
-                    .expect("sharded state lock poisoned")
-                    .commit_admit(spec, h_s, h_r, delay_bound)?;
-                self.counters.admitted += 1;
-                self.departures.push(departure(departs, id));
-                self.live.insert(id.0, (arrival, departs.value().to_bits()));
-                Decision::Admitted {
-                    id,
-                    h_s,
-                    h_r,
-                    delay_bound,
-                }
-            }
-            Decision::Rejected(reason) => {
-                self.counters.count_rejection(&reason);
-                Decision::Rejected(reason)
-            }
-        };
-        let outcome = AuditOutcome::from_decision(&decision);
-        self.mx.on_decision(
-            matches!(decision, Decision::Admitted { .. }),
-            latency.value(),
-            &cache,
-            &fast,
-        );
-        let reject_class = match &outcome {
-            AuditOutcome::Rejected { class, .. } => Some(*class),
-            _ => None,
-        };
-        let observation = FlightObservation {
-            correlation: self.decision_seq,
-            shard,
-            at_seconds: at.value(),
-            latency_seconds: latency.value(),
-            conflict,
-            reconfig: false,
-            reject_class,
-        };
-        let captured = self.flight.observe(&observation, || {
-            let trace_json = trace
-                .as_ref()
-                .map_or_else(|| "null".to_string(), DecisionTrace::to_json_line);
-            let mut phases: Vec<SpanPhase<'_>> = Vec::new();
-            if conflict {
-                if let Some(t) = &spec_spans {
-                    phases.push(("speculate", shard, t));
-                }
-                if let Some(t) = &spans {
-                    phases.push(("recompute", None, t));
-                }
-            } else if let Some(t) = &spans {
-                phases.push((
-                    if shard.is_some() {
-                        "speculate"
-                    } else {
-                        "inline"
-                    },
-                    shard,
-                    t,
-                ));
-            }
-            (trace_json, spans_to_json(&phases, Some(version)))
-        });
-        if captured.is_some() {
-            self.mx.outlier_captured();
-        }
-        self.audit.append(AuditEntry {
-            seq: self.decision_seq,
-            at,
-            kind,
-            arrival,
-            source: (spec.source.ring, spec.source.station),
-            dest: (spec.dest.ring, spec.dest.station),
-            deadline: spec.deadline.value(),
-            outcome,
-        });
-        self.decision_seq += 1;
-        self.offer_sample(at);
-        Ok(decision)
     }
+}
 
-    fn offer_sample(&mut self, at: Seconds) {
-        let shared = self.shared;
-        let guard = shared.read().expect("sharded state lock poisoned");
-        let state = guard.state();
-        let active = state.active().len();
-        self.peak_active = self.peak_active.max(active);
-        self.mx.set_active(active);
-        self.telemetry.offer(at.value());
-        let caps = &self.ring_caps;
-        self.series.offer(at, active, || utilization(state, caps));
+/// What a worker hands the committer for one speculated arrival: the
+/// decision, what it read, and what it cost (less the trace it owns).
+struct SpecMsg {
+    decision: Decision,
+    footprint: Footprint,
+    trace: Option<DecisionTrace>,
+    measured: Measured<'static>,
+}
+
+/// A worker's carried evaluator cache, with the network whose ring
+/// parameters it was filled under.
+type WorkerCache = Option<(Arc<HetNetwork>, EvalCache)>;
+
+/// Speculates `spec` over its dependency closure of `shared`, under the
+/// options in force read with the closure, carrying `cache` across
+/// calls.
+fn speculate(
+    shared: &RwLock<ShardedState>,
+    cfg: &ServiceConfig,
+    spec: ConnectionSpec,
+    at: Seconds,
+    cache: &mut WorkerCache,
+) -> Result<SpecMsg, CacError> {
+    let t0 = Instant::now();
+    let (mut scoped, options, footprint) = ShardedState::speculate(shared, spec.source, spec.dest)?;
+    let closure = scoped.active().len();
+    scoped.set_cache_caps(WORKER_CACHE_CAPS);
+    scoped.persist_eval_cache(cfg.persist_cache);
+    // Cache keys do not span ring parameters: a cache filled before a
+    // retune would hit on stale entries, so it is dropped, as
+    // `NetworkState::reconfigure` drops the state's own.
+    if let Some((net, carried)) = cache.take() {
+        if Arc::ptr_eq(&net, scoped.shared_network()) {
+            scoped.inject_eval_cache(carried);
+        }
     }
+    scoped.set_fast_path(cfg.fast_path)?;
+    scoped.set_decision_tracing(cfg.trace_decisions);
+    scoped.set_clock(at);
+    let (decision, spans) = with_spans(&cfg.obs, || scoped.admit(spec, &options))?;
+    let measured = Measured {
+        latency: t0.elapsed().as_secs_f64(),
+        cache: scoped.last_cache_stats().unwrap_or_default(),
+        fast: scoped.last_fast_path_stats().unwrap_or_default(),
+        spans,
+        version: Some(footprint.version()),
+        closure,
+        ..Measured::default()
+    };
+    *cache = scoped
+        .take_eval_cache()
+        .map(|c| (Arc::clone(scoped.shared_network()), c));
+    Ok(SpecMsg {
+        decision,
+        footprint,
+        trace: scoped.last_decision_trace().cloned(),
+        measured,
+    })
+}
+
+/// Commits worker `shard`'s speculation for arrival `idx` after the
+/// events due before it — or, if anything it read changed since,
+/// decides the arrival again in place.
+fn commit_arrival(
+    events: &mut EventLoop,
+    state: &mut ShardedState,
+    idx: usize,
+    shard: usize,
+    msg: SpecMsg,
+) -> Result<(), CacError> {
+    let (request, spec) = events.arrival(idx)?;
+    events.advance_to(state, request.at)?;
+    let shards = events.shards.as_mut().expect("sharded run");
+    shards.stats.speculated += 1;
+    shards.gauges[shard].absorb(msg.measured.cache);
+    shards.ledger_version.set(msg.footprint.version() as f64);
+    let shard = shard as u32;
+    if state.conflicts(&msg.footprint) {
+        shards.stats.conflicts += 1;
+        shards.conflicts_total.inc();
+        events.decide(state, request, spec, Some((shard, msg.measured.spans)))?;
+        return Ok(());
+    }
+    state.set_clock(request.at);
+    let decision = state.commit(&spec, msg.decision)?;
+    let measured = Measured {
+        trace: msg.trace.as_ref(),
+        shard: Some(shard),
+        ..msg.measured
+    };
+    events.record(state, &request, &decision, measured);
+    Ok(())
 }
 
 /// The sharded engine's one-shot driver. See [`run_sharded`].
 #[derive(Debug)]
 pub struct ShardedEngine {
-    cfg: ServiceConfig,
+    events: EventLoop,
+    state: ShardedState,
     workers: usize,
-    net: Arc<HetNetwork>,
-    schedule: ChurnSchedule,
-    faults: Vec<FaultEvent>,
-    envelope: SharedEnvelope,
-    /// Checkpoint to resume from, if recovering.
-    resume: Option<EngineCheckpoint>,
     /// If set, capture a checkpoint after this many arrivals.
     checkpoint_after: Option<usize>,
-    /// The run's shared metrics registry. Created at construction so a
-    /// live viewer can hold a clone and poll while `run` is going.
-    registry: Arc<MetricsRegistry>,
-    /// Outlier flight recorder shared with the committer.
-    flight: Arc<FlightRecorder>,
-    /// Ring of periodic telemetry frames, pollable from any thread.
-    telemetry_ring: Arc<SharedRing<TelemetryFrame>>,
 }
 
 impl ShardedEngine {
@@ -692,69 +299,16 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Returns [`CacError::InvalidRequest`] if the churn shape does not
-    /// match the network, the scheduler or class count is invalid, or
-    /// the config schedules reconfigurations.
+    /// match the network, or the scheduler, class count or
+    /// reconfiguration schedule is invalid.
     pub fn new(network: HetNetwork, cfg: &ServiceConfig, workers: usize) -> Result<Self, CacError> {
-        let Prepared {
-            network,
-            schedule,
-            envelope,
-            faults,
-        } = prepare(network, cfg)?;
-        if !cfg.reconfigs.is_empty() {
-            return Err(CacError::InvalidRequest(
-                "the sharded engine does not support live reconfiguration; \
-                 use the sequential engine for reconfig schedules"
-                    .into(),
-            ));
-        }
-        let registry = Arc::new(MetricsRegistry::new());
-        let flight = Arc::new(FlightRecorder::new(
-            cfg.obs.flight_capacity,
-            cfg.obs.flight_min_samples,
-        ));
-        let telemetry_ring = Arc::new(SharedRing::new(cfg.obs.telemetry_capacity));
-        Ok(Self {
-            cfg: cfg.clone(),
-            workers: workers.max(1),
-            net: Arc::new(network),
-            schedule,
-            faults,
-            envelope,
-            resume: None,
-            checkpoint_after: None,
-            registry,
-            flight,
-            telemetry_ring,
-        })
-    }
-
-    /// The run's shared metrics registry. Clone the `Arc` before
-    /// calling [`ShardedEngine::run`] to watch the run from another
-    /// thread (this is what `hetnet-top` does).
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The run's outlier flight recorder (see
-    /// [`hetnet_obs::FlightRecorder`]).
-    #[must_use]
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
-    /// The ring periodic telemetry frames are pushed into when
-    /// [`ObsOptions::telemetry_period`](crate::ObsOptions) is set.
-    #[must_use]
-    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
-        Arc::clone(&self.telemetry_ring)
+        Self::start(network, cfg, workers, None)
     }
 
     /// Resumes from a checkpoint taken by either engine (the formats
     /// are shared): the state is restored from the snapshot and the run
-    /// continues from the checkpoint's cursors,
-    /// producing the same remaining decisions.
+    /// continues from the checkpoint's cursors, producing the same
+    /// remaining decisions.
     ///
     /// # Errors
     ///
@@ -767,16 +321,46 @@ impl ShardedEngine {
         workers: usize,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self, CacError> {
-        let mut engine = Self::new(network, cfg, workers)?;
-        if checkpoint.next_arrival > engine.schedule.arrivals.len()
-            || checkpoint.next_fault > engine.faults.len()
-        {
-            return Err(CacError::SnapshotMismatch(
-                "checkpoint cursors exceed the regenerated schedules".into(),
-            ));
-        }
-        engine.resume = Some(checkpoint.clone());
-        Ok(engine)
+        Self::start(network, cfg, workers, Some(checkpoint))
+    }
+
+    fn start(
+        network: HetNetwork,
+        cfg: &ServiceConfig,
+        workers: usize,
+        checkpoint: Option<&EngineCheckpoint>,
+    ) -> Result<Self, CacError> {
+        let workers = workers.max(1);
+        let (mut events, state) = EventLoop::start(network, cfg, checkpoint, WORKER_CACHE_CAPS)?;
+        events.shards = Some(ShardMetrics::register(&events.registry, workers));
+        Ok(Self {
+            events,
+            state,
+            workers,
+            checkpoint_after: None,
+        })
+    }
+
+    /// The run's shared metrics registry. Clone the `Arc` before
+    /// calling [`ShardedEngine::run`] to watch the run from another
+    /// thread (this is what `hetnet-top` does).
+    #[must_use]
+    pub fn registry(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.events.registry)
+    }
+
+    /// The run's outlier flight recorder (see
+    /// [`hetnet_obs::FlightRecorder`]).
+    #[must_use]
+    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.events.flight)
+    }
+
+    /// The ring periodic telemetry frames are pushed into when
+    /// [`ObsOptions::telemetry_period`](crate::ObsOptions) is set.
+    #[must_use]
+    pub fn telemetry_ring(&self) -> Arc<SharedRing<TelemetryFrame>> {
+        Arc::clone(&self.events.telemetry_ring)
     }
 
     /// Requests a checkpoint capture after `arrivals` more arrivals
@@ -797,137 +381,47 @@ impl ShardedEngine {
     ///
     /// Propagates any [`CacError`] from the underlying admissions and
     /// releases (rejections are outcomes, not errors).
-    #[allow(clippy::too_many_lines)]
     pub fn run(self) -> Result<(ShardedRun, Option<EngineCheckpoint>), CacError> {
-        let started = Instant::now();
-        let workers = self.workers;
-        let mut state = NetworkState::new_shared(Arc::clone(&self.net));
-        if let Some(ckpt) = &self.resume {
-            state.restore(&ckpt.state)?;
-        }
-        // Measured against the state's budgets, which a restore may
-        // have retuned.
-        let ring_caps: Vec<f64> = state
-            .network()
-            .rings()
-            .iter()
-            .map(|r| r.allocatable().value())
-            .collect();
-        let shared = RwLock::new(ShardedState::new(state));
-        let start_arrival = self.resume.as_ref().map_or(0, |c| c.next_arrival);
-        let start_seq = self.resume.as_ref().map_or(0, |c| c.state.decision_seq);
-
+        let Self {
+            mut events,
+            state,
+            workers,
+            checkpoint_after,
+        } = self;
+        events.started = Instant::now();
+        let shared = RwLock::new(state);
         // Partition the remaining arrivals by worker (source ring mod
         // workers), preserving schedule order within each worker.
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (idx, a) in self
+        for (idx, a) in events
             .schedule
             .arrivals
             .iter()
             .enumerate()
-            .skip(start_arrival)
+            .skip(events.pos.next_arrival)
         {
             owned[a.source.0 % workers].push(idx);
         }
-
-        let mut spec_rx = Vec::with_capacity(workers);
-        let mut ack_txs = Vec::with_capacity(workers);
-        let mut worker_inputs = Vec::with_capacity(workers);
-        for indices in owned {
-            let (tx, rx) = mpsc::sync_channel::<Result<SpecMsg, CacError>>(1);
-            let (ack_tx, ack_rx) = mpsc::sync_channel::<()>(1);
-            spec_rx.push(rx);
-            ack_txs.push(ack_tx);
-            worker_inputs.push((indices, tx, ack_rx));
-        }
-
-        let mut committer = Committer {
-            cfg: &self.cfg,
-            shared: &shared,
-            schedule: &self.schedule,
-            faults: &self.faults,
-            envelope: Arc::clone(&self.envelope),
-            clock: Seconds::ZERO,
-            decision_seq: start_seq,
-            departures: self.resume.as_ref().map_or_else(BinaryHeap::new, |c| {
-                c.departures.iter().map(|&p| Reverse(p)).collect()
-            }),
-            live: self.resume.as_ref().map_or_else(BTreeMap::new, |c| {
-                c.live
-                    .iter()
-                    .map(|&(id, arrival, departs)| (id, (arrival, departs)))
-                    .collect()
-            }),
-            parked: self.resume.as_ref().map_or_else(Vec::new, |c| {
-                c.parked
-                    .iter()
-                    .map(|&(arrival, departs_bits)| Parked {
-                        arrival,
-                        departs_bits,
-                    })
-                    .collect()
-            }),
-            open_faults: self
-                .resume
-                .as_ref()
-                .map_or_else(BTreeMap::new, |c| c.open_faults.iter().copied().collect()),
-            next_arrival: start_arrival,
-            next_fault: self.resume.as_ref().map_or(0, |c| c.next_fault),
-            counters: DecisionCounters::default(),
-            latency: LatencyHistogram::new(),
-            series: UtilizationSeries::new(self.cfg.sample_period),
-            audit: if start_seq == 0 {
-                AuditLog::new()
-            } else {
-                AuditLog::starting_at(start_seq)
-            },
-            recovery: RecoveryMetrics::default(),
-            gauges: CacheGauges::default(),
-            fast: FastPathGauges::default(),
-            attribution: DelayAttribution::default(),
-            peak_active: 0,
-            ring_caps,
-            stats: ShardingStats {
-                workers,
-                ..ShardingStats::default()
-            },
-            inline_cache: None,
-            spec_rx,
-            ack_tx: ack_txs,
-            mx: EngineMetrics::register(&self.registry),
-            shard_gauges: vec![CacheGauges::default(); workers + 1],
-            conflicts_total: self.registry.counter(
-                "hetnet_commit_conflicts_total",
-                "Speculations invalidated at commit and recomputed inline.",
-                &[],
-            ),
-            inline_total: self.registry.counter(
-                "hetnet_inline_decisions_total",
-                "Decisions computed inline by the committer (conflicts and readmits).",
-                &[],
-            ),
-            ledger_version: self.registry.gauge(
-                "hetnet_ledger_version",
-                "Ledger version most recently validated by the committer.",
-                &[],
-            ),
-            flight: Arc::clone(&self.flight),
-            telemetry: Telemetry::new(
-                &self.cfg.obs,
-                Arc::clone(&self.registry),
-                Arc::clone(&self.telemetry_ring),
-            ),
-        };
-
-        let mut checkpoint_out: Option<EngineCheckpoint> = None;
-        let checkpoint_at = self.checkpoint_after.map(|n| start_arrival + n);
-        let result: Result<(), CacError> = std::thread::scope(|scope| {
-            for (w, (indices, tx, ack_rx)) in worker_inputs.into_iter().enumerate() {
-                let cfg = &self.cfg;
-                let schedule = &self.schedule;
-                let envelope = Arc::clone(&self.envelope);
-                let shared_ref = &shared;
-                let registry = Arc::clone(&self.registry);
+        let checkpoint_at = checkpoint_after.map(|n| events.pos.next_arrival + n);
+        let mut checkpoint = None;
+        let cfg = events.cfg.clone();
+        let schedule = Arc::clone(&events.schedule);
+        let envelope = Arc::clone(&events.envelope);
+        let registry = Arc::clone(&events.registry);
+        std::thread::scope(|scope| {
+            let mut spec_rx = Vec::with_capacity(workers);
+            // Per-worker acks: a worker may speculate its next arrival
+            // only after its previous one committed (without this,
+            // consecutive same-shard arrivals would conflict
+            // essentially always).
+            let mut ack_tx = Vec::with_capacity(workers);
+            for (w, indices) in owned.into_iter().enumerate() {
+                let (tx, rx) = mpsc::sync_channel::<Result<SpecMsg, CacError>>(1);
+                let (atx, ack_rx) = mpsc::sync_channel::<()>(1);
+                spec_rx.push(rx);
+                ack_tx.push(atx);
+                let (shared, cfg, schedule, envelope, registry) =
+                    (&shared, &cfg, &schedule, &envelope, &registry);
                 scope.spawn(move || {
                     // Each worker registers its own shard-labelled
                     // families into the one shared registry, from its
@@ -943,134 +437,67 @@ impl ShardedEngine {
                         "Worker-side speculation wall time, per shard.",
                         &[("shard", &shard)],
                     );
-                    let mut cache: Option<hetnet_cac::delay::EvalCache> = None;
-                    let mut first = true;
-                    for idx in indices {
-                        if !first && ack_rx.recv().is_err() {
+                    let mut cache: WorkerCache = None;
+                    for (n, idx) in indices.into_iter().enumerate() {
+                        if n > 0 && ack_rx.recv().is_err() {
                             return; // committer gone (error path)
                         }
-                        first = false;
                         let a = &schedule.arrivals[idx];
-                        let decided = arrival_spec(cfg, &envelope, a).and_then(|spec| {
-                            decide_scoped(shared_ref, cfg, &spec, a.at, &mut cache)
-                        });
-                        match decided {
-                            Ok(mut msg) => {
-                                msg.idx = idx;
-                                speculations.inc();
-                                spec_latency.observe(msg.latency.value());
-                                if tx.send(Ok(msg)).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
+                        let msg = arrival_spec(cfg, envelope, a)
+                            .and_then(|spec| speculate(shared, cfg, spec, a.at, &mut cache));
+                        if let Ok(m) = &msg {
+                            speculations.inc();
+                            spec_latency.observe(m.measured.latency);
+                        }
+                        let failed = msg.is_err();
+                        if tx.send(msg).is_err() || failed {
+                            return;
                         }
                     }
                 });
             }
-
-            while let Some(&a) = self.schedule.arrivals.get(committer.next_arrival) {
-                if checkpoint_at == Some(committer.next_arrival) && checkpoint_out.is_none() {
-                    checkpoint_out = Some(committer.take_checkpoint());
+            let committed = (|| {
+                loop {
+                    if checkpoint_at == Some(events.pos.next_arrival) {
+                        checkpoint = Some(events.take_checkpoint(&shared.read().expect(POISONED)));
+                    }
+                    let idx = events.pos.next_arrival;
+                    let Some(a) = events.schedule.arrivals.get(idx) else {
+                        break;
+                    };
+                    let w = a.source.0 % workers;
+                    let msg = spec_rx[w].recv().expect("worker hung up mid-schedule")?;
+                    commit_arrival(
+                        &mut events,
+                        &mut shared.write().expect(POISONED),
+                        idx,
+                        w,
+                        msg,
+                    )?;
+                    let _ = ack_tx[w].send(());
+                    events.pos.next_arrival += 1;
                 }
-                let idx = committer.next_arrival;
-                committer.commit_arrival(idx, a)?;
-                committer.next_arrival += 1;
-            }
-            if checkpoint_at == Some(committer.next_arrival) && checkpoint_out.is_none() {
-                checkpoint_out = Some(committer.take_checkpoint());
-            }
-            while let Some(e) = committer.faults.get(committer.next_fault).copied() {
-                committer.advance_to(e.at)?;
-            }
-            Ok(())
-        });
-        result?;
+                events.drain(&mut shared.write().expect(POISONED))
+            })();
+            // Release workers still waiting for an ack (error path).
+            drop(ack_tx);
+            committed
+        })?;
 
-        committer.telemetry.finish(committer.clock.value());
-        committer.recovery.undrained = committer.open_faults.len() as u64;
-        let wall_seconds = started.elapsed().as_secs_f64();
-        let final_snapshot = {
-            let guard = shared.read().expect("sharded state lock poisoned");
-            guard.snapshot(committer.clock, committer.decision_seq)
-        };
-        let ring_utilization = (0..committer.ring_caps.len())
-            .map(|r| committer.series.ring_summary(r))
-            .collect();
-        let counters = committer.counters;
-        let report = ServiceReport {
-            requests: counters.total(),
-            counters,
-            latency: LatencySummary::from_histogram(&committer.latency),
-            cache: committer.gauges,
-            fast_path: committer.fast,
-            blocking_probability: counters.blocking_probability(),
-            requests_per_sec: if wall_seconds > 0.0 {
-                counters.total() as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            wall_seconds,
-            span: self.schedule.span(),
-            peak_active: committer.peak_active,
-            final_active: final_snapshot.connections.len(),
-            ring_utilization,
-            audit_len: committer.audit.len(),
-            topology: self.net.summary().to_string(),
-            delay_attribution: StageDelaySummary::from_attribution(&committer.attribution),
-            recovery: committer.recovery,
-            reconfig: crate::metrics::ReconfigMetrics::default(),
-            shard_cache: committer.shard_gauges,
-            flight_recorder: self.flight.to_json(),
-        };
+        let shards = events.shards.take().expect("sharded run");
+        let mut run = events.into_run(shared.into_inner().expect(POISONED));
+        run.report.shard_cache = shards.gauges;
         Ok((
             ShardedRun {
-                report,
-                audit: committer.audit,
-                series: committer.series,
-                final_snapshot,
-                sharding: committer.stats,
-                telemetry: self.telemetry_ring.drain(),
+                report: run.report,
+                audit: run.audit,
+                series: run.series,
+                final_snapshot: run.state.snapshot(),
+                sharding: shards.stats,
+                telemetry: run.telemetry,
             },
-            checkpoint_out,
+            checkpoint,
         ))
-    }
-}
-
-impl Committer<'_> {
-    /// Captures a checkpoint between arrivals, in the sequential
-    /// engine's format (the two engines' checkpoints interchange).
-    fn take_checkpoint(&self) -> EngineCheckpoint {
-        let mut departures: Vec<(u64, u64)> = self.departures.iter().map(|&Reverse(p)| p).collect();
-        departures.sort_unstable();
-        let state = self
-            .shared
-            .read()
-            .expect("sharded state lock poisoned")
-            .snapshot(self.clock, self.decision_seq);
-        EngineCheckpoint {
-            state,
-            departures,
-            live: self
-                .live
-                .iter()
-                .map(|(&id, &(arrival, departs))| (id, arrival, departs))
-                .collect(),
-            parked: self
-                .parked
-                .iter()
-                .map(|p| (p.arrival, p.departs_bits))
-                .collect(),
-            open_faults: self.open_faults.iter().map(|(&c, &b)| (c, b)).collect(),
-            next_arrival: self.next_arrival,
-            next_fault: self.next_fault,
-            // The sharded engine refuses reconfig schedules, so a
-            // checkpoint it takes always sits before the first one.
-            next_reconfig: 0,
-        }
     }
 }
 
@@ -1095,13 +522,7 @@ pub fn run_sharded(
 /// and final states bit-identical by snapshot JSON.
 #[must_use]
 pub fn runs_equivalent(sharded: &ShardedRun, sequential: &ServiceRun) -> bool {
-    sharded.audit.len() == sequential.audit.len()
-        && sharded
-            .audit
-            .entries()
-            .iter()
-            .zip(sequential.audit.entries())
-            .all(|(a, b)| entries_equivalent(a, b))
+    audits_equivalent(&sharded.audit, &sequential.audit)
         && sharded.final_snapshot.to_json() == sequential.state.snapshot().to_json()
 }
 
@@ -1109,13 +530,16 @@ pub fn runs_equivalent(sharded: &ShardedRun, sequential: &ServiceRun) -> bool {
 /// counts over the same config).
 #[must_use]
 pub fn sharded_runs_equivalent(a: &ShardedRun, b: &ShardedRun) -> bool {
-    a.audit.len() == b.audit.len()
-        && a.audit
-            .entries()
-            .iter()
-            .zip(b.audit.entries())
-            .all(|(x, y)| entries_equivalent(x, y))
+    audits_equivalent(&a.audit, &b.audit)
         && a.final_snapshot.to_json() == b.final_snapshot.to_json()
+}
+
+fn audits_equivalent(a: &AuditLog, b: &AuditLog) -> bool {
+    a.len() == b.len()
+        && a.entries()
+            .iter()
+            .zip(b.entries())
+            .all(|(x, y)| entries_equivalent(x, y))
 }
 
 #[cfg(test)]

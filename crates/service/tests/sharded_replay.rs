@@ -7,6 +7,10 @@
 //! agree as snapshot JSON, which pins ids, allocations, delay bounds,
 //! down-sets, and admission order all at once.
 //!
+//! Live reconfigurations are part of the stream: the sharded engine
+//! applies them at the same event slots behind a barrier, and a TTRT
+//! retune with a β change replays the sequential run too.
+//!
 //! The second half covers the consistent-cut checkpoint: a sharded run
 //! captures a checkpoint mid-stream *while its workers hold in-flight
 //! speculations against the pre-cut ledger*, and both engines —
@@ -15,13 +19,16 @@
 
 use hetnet_cac::cac::{AdmissionOptions, CacConfig};
 use hetnet_cac::network::{HetNetwork, Scheduler};
+use hetnet_cac::reconfig::ReconfigPlan;
+use hetnet_service::audit::AuditKind;
 use hetnet_service::{
-    entries_equivalent, run, runs_equivalent, sharded_runs_equivalent, ServiceConfig,
-    ServiceEngine, ShardedEngine,
+    entries_equivalent, run, runs_equivalent, sharded_runs_equivalent, EngineCheckpoint,
+    ReconfigEvent, ServiceConfig, ServiceEngine, ShardedEngine,
 };
-use hetnet_sim::churn::{ChurnConfig, TopologyShape, TrafficPattern};
+use hetnet_sim::churn::{self, ChurnConfig, TopologyShape, TrafficPattern};
 use hetnet_sim::fault::FaultConfig;
-use hetnet_traffic::units::Seconds;
+use hetnet_traffic::models::DualPeriodicEnvelope;
+use hetnet_traffic::units::{Bits, BitsPerSec, Seconds};
 use proptest::prelude::*;
 
 /// Debug builds (the workspace test stage runs unoptimized) get a
@@ -100,7 +107,17 @@ fn check_sharded_matches_sequential(net_for: impl Fn() -> HetNetwork, cfg: &Serv
 /// speculating; both engines resume from the cut onto the full run's
 /// final state and audit tail.
 fn check_checkpoint_round_trip(cfg: &ServiceConfig, workers: usize, split: usize) {
-    let (full, ckpt) = ShardedEngine::new(HetNetwork::paper_topology(), cfg, workers)
+    check_checkpoint_round_trip_on(HetNetwork::paper_topology, cfg, workers, split);
+}
+
+/// [`check_checkpoint_round_trip`] over any topology; returns the cut.
+fn check_checkpoint_round_trip_on(
+    net_for: impl Fn() -> HetNetwork,
+    cfg: &ServiceConfig,
+    workers: usize,
+    split: usize,
+) -> EngineCheckpoint {
+    let (full, ckpt) = ShardedEngine::new(net_for(), cfg, workers)
         .expect("sharded engine")
         .checkpoint_after(split)
         .run()
@@ -108,7 +125,7 @@ fn check_checkpoint_round_trip(cfg: &ServiceConfig, workers: usize, split: usize
     let ckpt = ckpt.expect("requested checkpoint must be captured");
 
     // The sequential engine accepts the sharded cut…
-    let sequential_rest = ServiceEngine::recover(HetNetwork::paper_topology(), cfg, &ckpt)
+    let sequential_rest = ServiceEngine::recover(net_for(), cfg, &ckpt)
         .expect("sequential recover")
         .finish()
         .expect("sequential resume");
@@ -119,11 +136,10 @@ fn check_checkpoint_round_trip(cfg: &ServiceConfig, workers: usize, split: usize
     );
 
     // …and a fresh sharded engine resumes from it too.
-    let (sharded_rest, _) =
-        ShardedEngine::recover(HetNetwork::paper_topology(), cfg, workers, &ckpt)
-            .expect("sharded recover")
-            .run()
-            .expect("sharded resume");
+    let (sharded_rest, _) = ShardedEngine::recover(net_for(), cfg, workers, &ckpt)
+        .expect("sharded recover")
+        .run()
+        .expect("sharded resume");
     assert_eq!(
         sharded_rest.final_snapshot.to_json(),
         full.final_snapshot.to_json(),
@@ -146,6 +162,79 @@ fn check_checkpoint_round_trip(cfg: &ServiceConfig, workers: usize, split: usize
             );
         }
     }
+    ckpt
+}
+
+/// The `grid_retune` benchmark's shape at test size, as
+/// `reconfig_replay.rs` builds it: paired churn of tiny dual-periodic
+/// sources (40–240 ms deadlines) on an 8-ring grid at β = 0, a DRR
+/// `[3,2]` backbone with two classes, and `reconfigs` as
+/// `(fraction of the span, TTRT in ms, new β)`.
+fn retune_grid_cfg(
+    requests: usize,
+    seed: u64,
+    reconfigs: &[(f64, f64, Option<f64>)],
+) -> ServiceConfig {
+    let rate = 0.75;
+    let mut cfg = ServiceConfig::paper_style(rate, requests, seed);
+    cfg.churn = ChurnConfig {
+        shape: TopologyShape {
+            rings: 8,
+            hosts_per_ring: 3,
+        },
+        pattern: TrafficPattern::Paired,
+        source_weights: None,
+        arrival_rate: rate,
+        mean_holding: Seconds::new(80.0),
+        max_holding: Seconds::new(240.0),
+        deadline: (Seconds::from_millis(40.0), Seconds::from_millis(240.0)),
+        source: DualPeriodicEnvelope::new(
+            Bits::from_mbits(0.002),
+            Seconds::from_millis(100.0),
+            Bits::from_mbits(0.0005),
+            Seconds::from_millis(25.0),
+            BitsPerSec::from_mbps(100.0),
+        )
+        .expect("valid source"),
+        requests,
+        seed,
+    };
+    let mut cac = CacConfig::fast().with_beta(0.0);
+    cac.min_frame_efficiency = 0.8;
+    cfg.options = AdmissionOptions::beta_search(cac);
+    let span = churn::generate(&cfg.churn).span().value();
+    let reconfigs = reconfigs
+        .iter()
+        .map(|&(at, ms, beta)| {
+            let plan = ReconfigPlan::uniform_ttrt(Seconds::from_millis(ms));
+            ReconfigEvent {
+                at: Seconds::new(span * at),
+                plan: match beta {
+                    Some(beta) => plan.with_beta(beta),
+                    None => plan,
+                },
+            }
+        })
+        .collect();
+    cfg.with_scheduler(Scheduler::Drr { quanta: vec![3, 2] }, 2)
+        .with_reconfigs(reconfigs)
+}
+
+/// Arrivals the audit records before its `n`-th reconfiguration entry.
+fn arrivals_before_reconfig(run: &hetnet_service::ServiceRun, n: usize) -> usize {
+    let at = run
+        .audit
+        .entries()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.kind == AuditKind::Reconfig)
+        .nth(n)
+        .expect("reconfiguration fired")
+        .0;
+    run.audit.entries()[..at]
+        .iter()
+        .filter(|e| e.kind == AuditKind::Arrival)
+        .count()
 }
 
 proptest! {
@@ -420,4 +509,86 @@ fn sharded_replay_loaded_faulted_grid_rejects_and_conflicts() {
         }
     }
     assert!(rejected > 0, "the loaded grid must reject some requests");
+}
+
+/// Sharded reconfiguration: on the `grid_retune` shape with faults, a
+/// TTRT retune to 6 ms and back to 10 ms that also moves β to 0.5, the
+/// sharded engine replays the sequential run at one and several
+/// workers — reconfiguration entries, renegotiations and re-admissions
+/// included. A sharded checkpoint cut between the two retunes resumes
+/// on both engines at the retuned parameters and the new β.
+#[test]
+fn sharded_replay_reconfigured_drr_grid() {
+    let net = || HetNetwork::grid(8, 3);
+    let cfg = retune_grid_cfg(
+        sized(180),
+        20261017,
+        &[(0.35, 6.0, None), (0.7, 10.0, Some(0.5))],
+    )
+    .with_faults(FaultConfig {
+        mean_gap: Seconds::new(30.0),
+        ..FaultConfig::paper_style(20261017 ^ 0x5eed_fa17)
+    });
+    check_sharded_matches_sequential(net, &cfg);
+    let sequential = run(net(), &cfg).expect("sequential");
+    assert_eq!(sequential.report.reconfig.reconfigs, 2, "both retunes fire");
+    let (one, _) = ShardedEngine::new(net(), &cfg, 1)
+        .expect("engine")
+        .run()
+        .expect("run");
+    assert!(
+        runs_equivalent(&one, &sequential),
+        "workers=1: reconfigured sharded run diverged from sequential"
+    );
+    assert_eq!(one.report.reconfig, sequential.report.reconfig);
+    assert_eq!(one.report.recovery, sequential.report.recovery);
+
+    let first = arrivals_before_reconfig(&sequential, 0);
+    let second = arrivals_before_reconfig(&sequential, 1);
+    let split = (first + second).div_ceil(2);
+    assert!(
+        first < split && split <= second,
+        "{first} < {split} <= {second}"
+    );
+    for workers in [1, 2] {
+        let ckpt = check_checkpoint_round_trip_on(net, &cfg, workers, split);
+        let seq0 = ckpt.decision_seq() as usize;
+        assert!(
+            sequential.audit.entries()[..seq0]
+                .iter()
+                .any(|e| e.kind == AuditKind::Reconfig),
+            "workers={workers}: the cut must follow the first reconfiguration"
+        );
+    }
+}
+
+/// The two ways a speculation read past a reconfiguration could go
+/// stale. With one worker, the first arrival after a retune is read
+/// before it and conflicts with its barrier; every later one is read
+/// after it and commits unconflicted. Those commits must match the
+/// sequential run, so the worker must decide under the β in force when
+/// it read its closure (not the one it was spawned with) and must not
+/// reuse evaluator-cache entries filled under the old TTRT.
+#[test]
+fn speculation_after_a_retune_decides_under_the_new_parameters() {
+    let net = || HetNetwork::grid(8, 3);
+    let cfg = retune_grid_cfg(sized(120), 20261018, &[(0.4, 6.0, Some(1.0))]);
+    let sequential = run(net(), &cfg).expect("sequential");
+    let (sharded, _) = ShardedEngine::new(net(), &cfg, 1)
+        .expect("engine")
+        .run()
+        .expect("run");
+    assert!(
+        runs_equivalent(&sharded, &sequential),
+        "a speculation read past the retune diverged from the sequential run"
+    );
+    let after = sequential.report.requests as usize
+        - sequential.report.recovery.readmit_attempts as usize
+        - arrivals_before_reconfig(&sequential, 0);
+    assert!(
+        after as u64 > sharded.sharding.conflicts,
+        "some arrival after the retune must commit its speculation unconflicted \
+         ({after} arrivals after it, {} conflicts)",
+        sharded.sharding.conflicts
+    );
 }

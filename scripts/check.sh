@@ -30,7 +30,7 @@ test_stage() {
     echo "==> recovery gate (faulted runs replay bit-identically from checkpoints)"
     cargo test --release -p hetnet-service --test churn_replay -q
 
-    echo "==> observability gate (sharded runs with full tracing stay decision-identical)"
+    echo "==> sharded gate (sharded runs replay the sequential engine: full tracing, faults, reconfigurations, checkpoints)"
     cargo test --release -p hetnet-service --test sharded_replay -q
 }
 
@@ -61,6 +61,20 @@ lint() {
         exit 1
     fi
     echo "ok: no deprecated-API escapes"
+
+    echo "==> one-event-loop gate (per-event bookkeeping is defined once in crates/service/src)"
+    # Both engines run engine.rs's EventLoop; a second copy of its
+    # event handling is how the sharded engine once drifted from it.
+    local fn count
+    for fn in advance_to readmit_parked take_checkpoint; do
+        count=$(grep -rE "fn ${fn}\b" --include="*.rs" crates/service/src | wc -l)
+        if [ "$count" -gt 1 ]; then
+            grep -rnE "fn ${fn}\b" --include="*.rs" crates/service/src
+            echo "FAIL: fn $fn is defined $count times under crates/service/src"
+            exit 1
+        fi
+    done
+    echo "ok: advance_to, readmit_parked and take_checkpoint are each defined once"
 }
 
 bench() {
