@@ -13,8 +13,6 @@
 //!   bound, backlog, per-flow output envelopes);
 //! * [`sched`] — pluggable per-class scheduler analyses behind the
 //!   [`SchedulerAnalysis`] trait: FIFO (the paper), IWRR, and DRR;
-//! * [`affine`] — closed-form `(σ, ρ)` over-approximations of the mux
-//!   analysis used by the admission fast path;
 //! * [`switch`] — an output port = multiplexer + fixed switching latency
 //!   + store-and-forward cell time;
 //! * [`topology`] — backbone graphs (the paper's three-switch backbone,
@@ -23,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod affine;
 pub mod cell;
 pub mod error;
 pub mod link;
@@ -32,7 +29,6 @@ pub mod sched;
 pub mod switch;
 pub mod topology;
 
-pub use affine::{fifo_bounds, AffineBound, FifoBounds};
 pub use error::AtmError;
 pub use link::LinkConfig;
 pub use mux::{analyze_mux, per_flow_output, MuxReport};

@@ -410,8 +410,7 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// Whether this is the class-blind FIFO discipline (the admission
-    /// fast path only applies there).
+    /// Whether this is the class-blind FIFO discipline.
     #[must_use]
     pub fn is_fifo(&self) -> bool {
         matches!(self, Self::Fifo)

@@ -6,7 +6,7 @@
 //! the retry path is exactly what the persistent cache accelerates).
 //!
 //! `request_latency_p99` is the headline target CI runs: a warm
-//! steady-state admit/release cycle with the incremental fast path on,
+//! steady-state admit/release cycle with the persistent cache on,
 //! followed by an explicit sub-millisecond p99 assertion (the
 //! criterion shim reports timings but does not gate, so the gate is an
 //! assert in the bench itself).
@@ -109,14 +109,12 @@ fn burst_envelope(c1_mbit: f64, bursts: usize) -> Arc<DualPeriodicEnvelope> {
 fn bench_request_latency_p99(c: &mut Criterion) {
     // The paper's operating point: a controller answering one request
     // at a time against a loaded network, with the persistent
-    // evaluator cache and the incremental fast path both on. Three
-    // background connections stay admitted for the whole benchmark;
-    // the candidate spec is built once so the stage-1 cache stays warm
-    // across the admit/release cycle.
+    // evaluator cache on. Three background connections stay admitted
+    // for the whole benchmark; the candidate spec is built once so the
+    // stage-1 cache stays warm across the admit/release cycle.
     let opts = AdmissionOptions::beta_search(CacConfig::fast());
     let mut state = NetworkState::new(HetNetwork::paper_topology());
     state.persist_eval_cache(true);
-    state.set_fast_path(true).expect("empty state");
     for k in 0..3 {
         let bg = ConnectionSpec {
             source: HostId {

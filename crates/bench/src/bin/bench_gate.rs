@@ -31,11 +31,9 @@
 //! step summary) without turning machine variance into a red build —
 //! the committed gates above stay the enforcement point.
 //!
-//! Both modes additionally hold the performance claims of the
-//! incremental fast path: steady-state single-decision p99 under one
-//! millisecond with the ladder short-circuiting a real share of
-//! β-probes (`decision_latency` section), the churn p99 under a
-//! regression ceiling, and — when the machine has more than one
+//! Both modes additionally hold the steady-state single-decision p99
+//! under one millisecond (`decision_latency` section), the churn p99
+//! under a regression ceiling, and — when the machine has more than one
 //! hardware thread — the parallel dense sweep actually faster than the
 //! sequential baseline (skipped with a message on one thread).
 
@@ -282,11 +280,9 @@ fn speedup_gate(bench: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The headline fast-path gates, shared by both modes: steady-state
-/// single-decision p99 under one millisecond, and the incremental
-/// ladder actually short-circuiting a meaningful share of β-probes.
-/// The probe counters are deterministic for the fixed workload, so the
-/// hit-rate floor is a logic gate, not a timing one.
+/// The headline latency gates, shared by both modes: steady-state
+/// single-decision p99 under one millisecond, over a workload that
+/// still mixes admits and rejects.
 fn decision_latency_gates(bench: &Json) -> Result<(), String> {
     if bench.at("decision_latency").is_none() {
         return Err("no decision_latency section; regenerate the benchmark JSON".into());
@@ -304,22 +300,7 @@ fn decision_latency_gates(bench: &Json) -> Result<(), String> {
             "latency workload degenerated ({admits} admits, {rejects} rejects)"
         ));
     }
-    let fast_accepts = num(bench, "decision_latency.fast_accepts")?;
-    let fast_rejects = num(bench, "decision_latency.fast_rejects")?;
-    if fast_accepts <= 0.0 || fast_rejects <= 0.0 {
-        return Err(format!(
-            "fast path never fired on one side ({fast_accepts} accepts, \
-             {fast_rejects} rejects)"
-        ));
-    }
-    let hit_rate = num(bench, "decision_latency.fast_hit_rate")?;
-    if hit_rate <= 0.25 {
-        return Err(format!(
-            "fast-path hit rate {hit_rate:.3} fell to or below the 0.25 floor; \
-             the ladder is no longer short-circuiting probes"
-        ));
-    }
-    println!("ok: decision latency p99 {p99:.1} us < 1000 us, fast-path hit rate {hit_rate:.3}");
+    println!("ok: decision latency p99 {p99:.1} us < 1000 us");
     Ok(())
 }
 
@@ -606,7 +587,6 @@ const DRIFT_METRICS: &[(&str, &str, f64)] = &[
         "steady-state decision p99 (us)",
         0.50,
     ),
-    ("decision_latency.fast_hit_rate", "fast-path hit rate", 0.05),
     (
         "obs.enabled_overhead_pct",
         "tracing overhead (pct points)",

@@ -35,8 +35,7 @@ use hetnet_fddi::ring::{RingConfig, SyncBandwidth};
 use hetnet_ifdev::IfDevConfig;
 use hetnet_service::{
     entries_equivalent, run as run_service, run_sharded, sharded_runs_equivalent, verify_recovery,
-    FastPathGauges, LatencyHistogram, ObsOptions, ReconfigEvent, ServiceConfig, ServiceEngine,
-    ShardedEngine,
+    LatencyHistogram, ObsOptions, ReconfigEvent, ServiceConfig, ServiceEngine, ShardedEngine,
 };
 use hetnet_sim::autotune::SweepGrid;
 use hetnet_sim::churn::{ChurnConfig, TopologyShape, TrafficPattern};
@@ -410,17 +409,15 @@ fn main() {
     // point is a controller answering one request at a time against a
     // loaded network, so this measures exactly that — a warm
     // admit/release cycle on a bare `NetworkState` with the persistent
-    // evaluator cache and the incremental fast path on. Three
-    // background connections stay admitted throughout; the candidate
-    // specs are built once (the stage-1 cache is keyed by envelope
-    // identity) and alternate between a feasible request and a
-    // deadline-infeasible one so both fast-accept and fast-reject
-    // rungs are exercised. The p99 here is the headline number the
-    // bench gate holds under 1 ms.
+    // evaluator cache on. Three background connections stay admitted
+    // throughout; the candidate specs are built once (the stage-1 cache
+    // is keyed by envelope identity) and alternate between a feasible
+    // request and a deadline-infeasible one so both verdicts are
+    // exercised. The p99 here is the headline number the bench gate
+    // holds under 1 ms.
     let lat_decisions = if quick { 300 } else { 2000 };
     let mut lat_state = NetworkState::new(HetNetwork::paper_topology());
     lat_state.persist_eval_cache(true);
-    lat_state.set_fast_path(true).expect("empty state");
     let lat_opts = AdmissionOptions::beta_search(CacConfig::fast());
     for k in 0..3 {
         let bg = ConnectionSpec {
@@ -482,7 +479,6 @@ fn main() {
         }
     }
     let mut lat_hist = LatencyHistogram::new();
-    let mut lat_fast = FastPathGauges::default();
     let mut lat_admits = 0u64;
     let mut lat_rejects = 0u64;
     for i in 0..lat_decisions {
@@ -494,9 +490,6 @@ fn main() {
         let start = Instant::now();
         let decision = lat_state.admit(spec, &lat_opts).expect("latency admit");
         lat_hist.record(Seconds::new(start.elapsed().as_secs_f64()));
-        if let Some(stats) = lat_state.last_fast_path_stats() {
-            lat_fast.absorb(stats);
-        }
         match decision {
             Decision::Admitted { id, .. } => {
                 lat_admits += 1;
@@ -508,19 +501,15 @@ fn main() {
     assert!(lat_admits > 0 && lat_rejects > 0, "latency mix degenerated");
     let (lat_p50, lat_p95, lat_p99) = lat_hist.percentiles();
     eprintln!(
-        "decision latency: {lat_decisions} warm decisions, p50 {:.1} us, p99 {:.1} us, \
-         fast-path hit rate {:.3}",
+        "decision latency: {lat_decisions} warm decisions, p50 {:.1} us, p99 {:.1} us",
         lat_p50.value() * 1e6,
         lat_p99.value() * 1e6,
-        lat_fast.hit_rate(),
     );
     let decision_latency_json = format!(
         concat!(
             "{{\"decisions\": {}, \"admits\": {}, \"rejects\": {}, ",
             "\"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, ",
-            "\"mean_us\": {:.3}, \"max_us\": {:.3}, ",
-            "\"fast_accepts\": {}, \"fast_rejects\": {}, \"fallbacks\": {}, ",
-            "\"fast_hit_rate\": {:.6}}}"
+            "\"mean_us\": {:.3}, \"max_us\": {:.3}}}"
         ),
         lat_decisions,
         lat_admits,
@@ -530,10 +519,6 @@ fn main() {
         lat_p99.value() * 1e6,
         lat_hist.mean().value() * 1e6,
         lat_hist.max().value() * 1e6,
-        lat_fast.fast_accepts,
-        lat_fast.fast_rejects,
-        lat_fast.fallbacks,
-        lat_fast.hit_rate(),
     );
 
     // Observability cost: the same fixed-seed service workload run with

@@ -148,9 +148,9 @@ fn hit_pct(lines: &[MetricLine], stage: &str) -> f64 {
 
 /// Renders one telemetry frame as the `hetnet-top` dashboard: a fixed
 /// set of aligned lines covering decisions, latency quantiles, cache
-/// hit rates, fast-path outcomes, per-shard speculation counts, and
-/// the flight recorder. Families absent from the frame render as
-/// zeros, so the dashboard is stable from the first frame on.
+/// hit rates, per-shard speculation counts, and the flight recorder.
+/// Families absent from the frame render as zeros, so the dashboard is
+/// stable from the first frame on.
 #[must_use]
 pub fn render_frame(at: f64, text: &str) -> String {
     let lines = parse(text);
@@ -186,15 +186,6 @@ pub fn render_frame(at: f64, text: &str) -> String {
         hit_pct(&lines, "mux"),
         hit_pct(&lines, "receive"),
         hit_pct(&lines, "screen"),
-    );
-    let fp = |o: &str| get(&lines, "hetnet_fast_path_probes_total", &[("outcome", o)]);
-    let _ = writeln!(
-        out,
-        "fast path    accept {:>8}  reject {:>8}  fallback {:>6}  skip {:>8}",
-        fp("accept"),
-        fp("reject"),
-        fp("fallback"),
-        fp("skip"),
     );
     let mut shards: Vec<(&str, f64)> = lines
         .iter()
@@ -309,7 +300,7 @@ mod tests {
         assert!(frame.contains("admitted       12"));
         assert!(frame.contains("stage1  90.0%"));
         assert!(frame.contains("[0]       6 [1]       5"));
-        assert_eq!(frame.lines().count(), 7);
+        assert_eq!(frame.lines().count(), 6);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::delay::{
     MuxKey, PathInput, PathReport, ScreenedOutcome,
 };
 use crate::error::CacError;
-use crate::incremental::{hops_for, FastContext, FastPathStats, MuxIndex};
+use crate::incremental::{hops_for, MuxIndex};
 use crate::network::{Component, HetNetwork, RingId};
 use crate::reconfig::{ReconfigPlan, ReconfigReport};
 use crate::snapshot::{ConnectionSnapshot, StateSnapshot, SNAPSHOT_VERSION};
@@ -334,10 +334,6 @@ pub struct NetworkState {
     /// of each search bounds its memory. With persistence off it is
     /// dropped whenever the active set changes.
     eval_cache: Option<EvalCache>,
-    /// Whether β-search probes may be decided by the fast ladder
-    /// ([`NetworkState::set_fast_path`]).
-    fast_path: bool,
-    last_fast_stats: Option<FastPathStats>,
     /// Components currently marked down by fault injection; requests
     /// whose path crosses one are rejected without evaluation.
     down: BTreeSet<Component>,
@@ -442,7 +438,6 @@ impl fmt::Debug for NetworkState {
             .field("next_id", &self.next_id)
             .field("last_cache_stats", &self.last_cache_stats)
             .field("persist_cache", &self.persist_cache)
-            .field("fast_path", &self.fast_path)
             .field("down", &self.down)
             .field("clock", &self.clock)
             .field("decision_seq", &self.decision_seq)
@@ -475,8 +470,6 @@ impl NetworkState {
             persist_cache: false,
             cache_caps: EvalCacheCaps::default(),
             eval_cache: None,
-            fast_path: false,
-            last_fast_stats: None,
             down: BTreeSet::new(),
             clock: Seconds::ZERO,
             decision_seq: 0,
@@ -547,42 +540,11 @@ impl NetworkState {
         }
     }
 
-    /// Enables (or disables) the incremental fast path: with it on, the
-    /// β bisection's boolean feasible-at-λ probes may be decided by the
-    /// closed-form decision ladder ([`crate::incremental`]) over the
-    /// state's multiplexer-membership index instead of the dense
-    /// evaluator. Every quantity that reaches a decision, a trace, or an
-    /// allocation table still comes from the dense evaluator, so
-    /// decisions are bit-identical with the fast path on or off.
-    ///
-    /// # Errors
-    ///
-    /// Never fails: the index the ladder reads is maintained whether or
-    /// not the fast path is on. The `Result` keeps the signature stable.
-    pub fn set_fast_path(&mut self, enabled: bool) -> Result<(), CacError> {
-        self.fast_path = enabled;
-        Ok(())
-    }
-
-    /// Whether the incremental fast path is enabled.
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Fast-path probe counters of the most recent
-    /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// when the fast path is disabled or the allocation is fixed).
-    #[must_use]
-    pub fn last_fast_path_stats(&self) -> Option<FastPathStats> {
-        self.last_fast_stats
-    }
-
     /// Cache hit/miss counters of the evaluator used by the most recent
     /// [`NetworkState::admit`] call (`None` before the first; all-zero
-    /// for a fixed allocation, which runs one uncached evaluation). A
-    /// β-search rejected before its line search (a down component, an
-    /// exhausted ring) reports the previous search's counters.
+    /// for a fixed allocation, which runs one uncached evaluation, and
+    /// for a β-search rejected before its line search: a down
+    /// component or an exhausted ring).
     /// Benchmarks and the experiment harness use this to report how much
     /// of each admission's line search was served incrementally.
     #[must_use]
@@ -783,9 +745,8 @@ impl NetworkState {
     /// point subsuming the legacy [`NetworkState::request`] (β-search)
     /// and [`NetworkState::request_fixed`] (fixed pair) split. On
     /// admission, the allocations are recorded and the connection
-    /// becomes active. Either way the decision's cache and fast-path
-    /// counters ([`NetworkState::last_cache_stats`],
-    /// [`NetworkState::last_fast_path_stats`]) and, when tracing, its
+    /// becomes active. Either way the decision's cache counters
+    /// ([`NetworkState::last_cache_stats`]) and, when tracing, its
     /// trace ([`NetworkState::last_decision_trace`]) are left for the
     /// caller to read.
     ///
@@ -800,6 +761,9 @@ impl NetworkState {
         opts: &AdmissionOptions,
     ) -> Result<Decision, CacError> {
         let _admit_span = obs::span("admit");
+        // Only a β-search that reaches its line search records counters;
+        // every other decision reports all-zero ones.
+        self.last_cache_stats = None;
         let result = match opts.allocation {
             AllocationPolicy::BetaSearch => self.admit_beta(spec, &opts.cac),
             AllocationPolicy::Fixed { h_s, h_r } => self.admit_fixed(spec, h_s, h_r, &opts.cac),
@@ -813,16 +777,8 @@ impl NetworkState {
         };
         let seq = self.decision_seq;
         self.decision_seq += 1;
-        let cache = match opts.allocation {
-            AllocationPolicy::BetaSearch => self.last_cache_stats.unwrap_or_default(),
-            AllocationPolicy::Fixed { .. } => CacheStats::default(),
-        };
-        let fast_path = match opts.allocation {
-            AllocationPolicy::BetaSearch => self.last_fast_stats.unwrap_or_default(),
-            AllocationPolicy::Fixed { .. } => FastPathStats::default(),
-        };
+        let cache = self.last_cache_stats.unwrap_or_default();
         self.last_cache_stats = Some(cache);
-        self.last_fast_stats = Some(fast_path);
         // `parts` is `Some` iff tracing is on, so a disabled state never
         // retains a stale trace.
         self.last_trace = parts.map(|p| DecisionTrace {
@@ -834,7 +790,6 @@ impl NetworkState {
             connections: p.connections,
             binding: p.binding,
             cache,
-            fast_path,
         });
         obs::event(
             "decision",
@@ -951,7 +906,6 @@ impl NetworkState {
             carried.clear();
         }
         let mut ev = Evaluator::with_cache(&self.net, cfg.eval.clone(), carried);
-        let mut fast_stats = FastPathStats::default();
 
         // Steps 2–5 run inside one closure so that the evaluator's cache
         // statistics are recorded on *every* exit path (admit, reject,
@@ -1096,37 +1050,6 @@ impl NetworkState {
                 }
             };
 
-            // Fast decision ladder for step 3's boolean probes (see
-            // `crate::incremental`): assembled per decision from the
-            // membership index the insert and remove paths keep up to
-            // date and the evaluator's cached stage-1 summaries; `None`
-            // runs everything densely.
-            let fast_ctx = if self.fast_path {
-                match FastContext::assemble(
-                    &mut ev,
-                    &self.net,
-                    &self.index,
-                    &self.active,
-                    spec.source,
-                    spec.dest,
-                )? {
-                    Ok(ctx) => Some(ctx),
-                    Err(cause) => {
-                        // The whole decision runs densely; count it so a
-                        // depressed service-level hit rate is
-                        // attributable to its cause.
-                        fast_stats.record_skip(cause);
-                        obs::event(
-                            "fast_path_skipped",
-                            &[("cause", obs::FieldValue::Str(cause))],
-                        );
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-
             // Candidate-only probe: feasibility is the newcomer's own
             // deadline (existing ones are covered by Step 2 + monotonicity).
             let probe = |ev: &mut Evaluator,
@@ -1144,38 +1067,14 @@ impl NetworkState {
                 }
             };
 
-            // Boolean wrapper for the step-3 bisection: the ladder may
-            // decide feasibility outright, falling back to the dense
-            // probe when no rung is decisive. Only these booleans ever
-            // come from the ladder — steps 4–5 consume dense *values* —
-            // so sound rungs keep the bisection path, and with it every
-            // committed number, bit-identical to the fast-off run.
-            let mut probe_hit = |ev: &mut Evaluator, lambda: f64| -> Result<bool, CacError> {
-                if let Some(ctx) = fast_ctx.as_ref() {
-                    let (hs, hr) = at(lambda);
-                    let cand = PathInput {
-                        source: spec.source,
-                        dest: spec.dest,
-                        envelope: Arc::clone(&spec.envelope),
-                        h_s: hs,
-                        h_r: hr,
-                        class: spec.class,
-                    };
-                    if let Some(decided) = ctx.probe(ev, &cand, spec.deadline, &mut fast_stats)? {
-                        return Ok(decided);
-                    }
-                }
-                Ok(probe(ev, lambda)?.is_some())
-            };
-
             // Step 3: minimum needed allocation along the line.
-            let lambda_min = if probe_hit(&mut ev, 0.0)? {
+            let lambda_min = if probe(&mut ev, 0.0)?.is_some() {
                 0.0
             } else {
                 let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
                 for _ in 0..cfg.search_iterations {
                     let mid = 0.5 * (lo + hi);
-                    if probe_hit(&mut ev, mid)? {
+                    if probe(&mut ev, mid)?.is_some() {
                         hi = mid;
                     } else {
                         lo = mid;
@@ -1297,7 +1196,6 @@ impl NetworkState {
         let stats = ev.cache_stats();
         let cache = ev.into_cache();
         self.last_cache_stats = Some(stats);
-        self.last_fast_stats = Some(fast_stats);
         if self.persist_cache {
             self.eval_cache = Some(cache);
         }
@@ -1566,7 +1464,7 @@ impl NetworkState {
             let victims: BTreeSet<ConnectionId> = crossed
                 .into_iter()
                 .flat_map(|key| self.index.members(key))
-                .map(|&(id, _)| id)
+                .copied()
                 .collect();
             for id in victims {
                 let conn = self.remove(id)?;
@@ -1787,7 +1685,6 @@ impl NetworkState {
         self.decision_seq = snap.decision_seq;
         self.eval_cache = None;
         self.last_cache_stats = None;
-        self.last_fast_stats = None;
         self.last_trace = None;
         Ok(())
     }
@@ -1854,7 +1751,6 @@ impl NetworkState {
         self.index = MuxIndex::default();
         self.eval_cache = None;
         self.last_cache_stats = None;
-        self.last_fast_stats = None;
         self.last_trace = None;
         let mut cac = opts.cac.clone();
         if let Some(beta) = plan.beta {
@@ -2360,6 +2256,28 @@ mod tests {
         assert!(second.mux_hits > 0, "{second:?}");
         assert!(second.mux_hit_rate() > 0.0);
         assert!(second.stage1_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn rejection_before_the_line_search_reports_zero_cache_stats() {
+        let mut s = state();
+        s.set_decision_tracing(true);
+        let opts: AdmissionOptions = CacConfig::fast().into();
+        assert!(s
+            .admit(spec((0, 0), (1, 0), 100.0), &opts)
+            .unwrap()
+            .is_admitted());
+        assert_ne!(s.last_cache_stats(), Some(CacheStats::default()));
+        s.set_component_down(Component::Ring(RingId(2))).unwrap();
+        let decision = s.admit(spec((2, 0), (1, 0), 100.0), &opts).unwrap();
+        assert!(matches!(
+            decision,
+            Decision::Rejected(RejectReason::ComponentUnavailable { .. })
+        ));
+        // No evaluator ran: the previous search's counters must not leak.
+        assert_eq!(s.last_cache_stats(), Some(CacheStats::default()));
+        let trace = s.last_decision_trace().expect("tracing is on");
+        assert_eq!(trace.cache, CacheStats::default());
     }
 
     #[test]
@@ -3169,7 +3087,6 @@ mod tests {
             ops in proptest::collection::vec((0usize..8, 0usize..16, 0usize..16), 1..40),
         ) {
             let mut s = NetworkState::new(HetNetwork::grid(4, 3));
-            s.set_fast_path(true).unwrap();
             let rings = s.net.rings().len();
             let links = s.net.backbone().link_count();
             let h = SyncBandwidth::new(Seconds::from_millis(0.4));

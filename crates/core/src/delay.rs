@@ -62,7 +62,6 @@
 
 use crate::error::CacError;
 use crate::network::{HetNetwork, HostId};
-use hetnet_atm::affine::AffineBound;
 use hetnet_atm::sched::{analyze_class, combine, Scheduler, SchedulerAnalysis};
 use hetnet_atm::{AtmError, LinkConfig};
 use hetnet_fddi::mac::{analyze_fddi_mac, DelayOutcome};
@@ -72,7 +71,7 @@ use hetnet_ifdev::{reassemble_envelope, segment_envelope};
 use hetnet_obs as obs;
 use hetnet_traffic::analysis::{AnalysisConfig, ServerAnalysis};
 use hetnet_traffic::combinators::Sampled;
-use hetnet_traffic::envelope::{Envelope, SharedEnvelope};
+use hetnet_traffic::envelope::SharedEnvelope;
 use hetnet_traffic::units::{Bits, Seconds};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -278,10 +277,6 @@ enum Stage1 {
         buffer: Bits,
         frame_size: Bits,
         wire: Arc<Sampled>,
-        /// Tightest affine `(σ, ρ)` dominating `wire`'s sample table —
-        /// derived once per stage-1 computation for the admission fast
-        /// path, valid on the flattening horizon.
-        wire_affine: AffineBound,
     },
     Infeasible(String),
 }
@@ -771,16 +766,11 @@ impl<'a> Evaluator<'a> {
                     DelayOutcome::Bounded(chi_s) => {
                         let f_s = frames::frame_size(ring, p.h_s);
                         let seg = segment_envelope(self.flatten(mac.output), f_s, self.net.ifdev());
-                        let wire = self.flatten(seg.output_wire);
-                        let (ts, vals) = wire.samples();
-                        let wire_affine =
-                            AffineBound::from_samples(ts, vals, wire.sustained_rate());
                         Stage1::Ready {
                             chi_s,
                             buffer: mac.buffer_required,
                             frame_size: f_s,
-                            wire,
-                            wire_affine,
+                            wire: self.flatten(seg.output_wire),
                         }
                     }
                     DelayOutcome::BufferOverflow { .. } => {
@@ -837,7 +827,6 @@ impl<'a> Evaluator<'a> {
                     buffer,
                     frame_size,
                     wire,
-                    ..
                 } => (chi_s, buffer, frame_size, wire),
                 Stage1::Infeasible(msg) => return Ok(Some(msg)),
             };
@@ -1371,51 +1360,6 @@ impl<'a> Evaluator<'a> {
         self.scratch = s;
         out
     }
-
-    /// Sender-side quantities the admission fast path needs for one path
-    /// at one allocation, served from (and filling) the stage-1 cache:
-    /// the exact `χ_S`, the frame size, and the affine wire bound.
-    /// `None` when stage 1 is infeasible at this allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard configuration errors exactly like
-    /// [`Evaluator::evaluate_candidate`].
-    pub(crate) fn fast_stage1(&mut self, p: &PathInput) -> Result<Option<FastStage1>, CacError> {
-        Ok(match self.stage1_for(p)? {
-            Stage1::Ready {
-                chi_s,
-                frame_size,
-                wire,
-                wire_affine,
-                ..
-            } => Some(FastStage1 {
-                chi_s,
-                frame_size,
-                wire_affine,
-                window: wire.horizon(),
-            }),
-            Stage1::Infeasible(_) => None,
-        })
-    }
-
-    /// The (clamped) configuration this evaluator analyzes under.
-    pub(crate) fn config(&self) -> &EvalConfig {
-        &self.cfg
-    }
-}
-
-/// Sender-side stage-1 summary for the admission fast path.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FastStage1 {
-    /// Exact source-MAC delay `χ_S` (identical to the dense path's).
-    pub(crate) chi_s: Seconds,
-    /// Frame size `F_S` on the source ring at this allocation.
-    pub(crate) frame_size: Bits,
-    /// Affine bound dominating the dense wire envelope on `[0, window]`.
-    pub(crate) wire_affine: AffineBound,
-    /// Horizon (seconds) of the wire envelope's sample table.
-    pub(crate) window: f64,
 }
 
 /// Evaluates the worst-case delays of all `paths` simultaneously

@@ -23,8 +23,8 @@
 //!   §4 (eq. 7), coupling connections through shared multiplexers;
 //! * [`cac`] — the β-CAC of §5.3 and the admission bookkeeping
 //!   ([`cac::NetworkState`]);
-//! * [`incremental`] — persistent per-server admission state and the
-//!   closed-form decision ladder behind the sub-millisecond fast path;
+//! * [`incremental`] — the persistent multiplexer-membership index
+//!   that scopes each decision to the candidate's dependency closure;
 //! * [`experiment`] — the §6 admission-probability simulation;
 //! * [`baselines`] — FDDI-only local allocation applied naively to the
 //!   heterogeneous network (the strawman of §5/§7), for ablations.

@@ -14,7 +14,7 @@
 //! parameters, in admission (id) order and keeping its id, so the
 //! post-reconfig state makes decisions bit-identical to a fresh engine
 //! built at the new parameters and fed the surviving specs in the same
-//! order (the certification pattern of the snapshot and fast-path
+//! order (the certification pattern of the snapshot and cache-history
 //! tests). The [`ReconfigReport`] classifies every connection as
 //! renegotiated (admitted at a bit-different allocation), unchanged
 //! (allocation bit-identical), or dropped (no longer fits — the caller

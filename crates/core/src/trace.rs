@@ -11,7 +11,6 @@
 
 use crate::connection::ConnectionId;
 use crate::delay::{CacheStats, PathReport};
-use crate::incremental::FastPathStats;
 use crate::network::{Component, RingId};
 use hetnet_fddi::ring::SyncBandwidth;
 use hetnet_obs::export::push_json_str;
@@ -258,10 +257,6 @@ pub struct DecisionTrace {
     /// Evaluator cache counters of the decision's searches (all-zero
     /// for fixed-allocation decisions, which run uncached).
     pub cache: CacheStats,
-    /// How the decision's β-search probes were resolved by the fast
-    /// decision ladder (all-zero when the fast path is disabled or for
-    /// fixed-allocation decisions, which never probe).
-    pub fast_path: FastPathStats,
 }
 
 impl DecisionTrace {
@@ -320,11 +315,6 @@ impl DecisionTrace {
             self.cache.mux_misses,
             self.cache.receive_hits,
             self.cache.receive_misses
-        );
-        let _ = write!(
-            out,
-            ",\"fast_path\":{{\"fast_accepts\":{},\"fast_rejects\":{},\"fallbacks\":{}}}",
-            self.fast_path.fast_accepts, self.fast_path.fast_rejects, self.fast_path.fallbacks
         );
         out.push_str(",\"connections\":[");
         for (i, c) in self.connections.iter().enumerate() {
@@ -566,12 +556,6 @@ mod tests {
                 receive_misses: 1,
                 ..CacheStats::default()
             },
-            fast_path: FastPathStats {
-                fast_accepts: 6,
-                fast_rejects: 2,
-                fallbacks: 1,
-                ..FastPathStats::default()
-            },
         };
         let line = trace.to_json_line();
         assert!(
@@ -584,9 +568,6 @@ mod tests {
             "\"cache\":{\"stage1_hits\":5,\"stage1_misses\":1,\"mux_hits\":10,\"mux_misses\":2,\
              \"receive_hits\":3,\"receive_misses\":1}"
         ));
-        assert!(
-            line.contains("\"fast_path\":{\"fast_accepts\":6,\"fast_rejects\":2,\"fallbacks\":1}")
-        );
         assert!(line.contains("\"id\":2,"));
         assert!(line.contains("\"id\":null,"));
         assert!(line.contains("\"dominant\":\"atm\""));

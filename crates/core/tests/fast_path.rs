@@ -1,20 +1,20 @@
-//! Certification gate for the incremental fast path.
+//! Certification gate for cache-history independence.
 //!
-//! The decision ladder in [`hetnet_cac::incremental`] may only change
-//! *how fast* an admission decision is reached, never the decision
-//! itself: the β-search probes it short-circuits must agree, bit for
-//! bit, with the dense evaluator on every committed allocation. Two
-//! checks pin that down:
+//! The persistent evaluator cache ([`NetworkState::persist_eval_cache`])
+//! may only change *how fast* an admission decision is reached, never
+//! the decision itself: a state that carries its cache across admits,
+//! releases and faults must decide, bit for bit, like one that starts
+//! every decision cold. Two checks pin that down:
 //!
-//! 1. a property test drives a fast-path-enabled [`NetworkState`] and a
-//!    dense one through identical admit/release/fault interleavings and
+//! 1. a property test drives a persistent-cache [`NetworkState`] and a
+//!    cold one through identical admit/release/fault interleavings and
 //!    requires every decision — allocations and delay bounds rendered
 //!    as raw IEEE-754 bits, reject reasons verbatim — plus the final
 //!    active set to be identical;
 //! 2. a pinned scenario renders its decision stream (again at bit
 //!    granularity) against `tests/golden/fast_path_decisions.txt`, so a
 //!    behaviour change shows up as a golden diff even if it affects
-//!    both evaluators at once. Regenerate after an intentional change:
+//!    both states at once. Regenerate after an intentional change:
 //!
 //!    ```text
 //!    FAST_PATH_WRITE=1 cargo test -p hetnet-cac --test fast_path
@@ -86,11 +86,10 @@ type Op = (usize, f64, f64, usize, usize);
 /// Applies `ops` to a fresh paper-topology state and returns the
 /// rendered event stream plus the final active set (also at bit
 /// granularity).
-fn run(ops: &[Op], fast: bool) -> Vec<String> {
+fn run(ops: &[Op], persist: bool) -> Vec<String> {
     let net = HetNetwork::paper_topology();
     let mut s = NetworkState::new(net);
-    if fast {
-        s.set_fast_path(true).expect("empty state");
+    if persist {
         s.persist_eval_cache(true);
     }
     let opts = AdmissionOptions::beta_search(CacConfig::fast());
@@ -140,24 +139,24 @@ fn run(ops: &[Op], fast: bool) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The fast path must be a pure accelerator: identical op streams
-    /// produce bit-identical decision streams with it on or off.
+    /// The persistent cache must be a pure accelerator: identical op
+    /// streams produce bit-identical decision streams with it or cold.
     #[test]
-    fn fast_path_decisions_are_bit_identical_to_dense(
+    fn persistent_cache_decisions_are_bit_identical_to_cold(
         ops in proptest::collection::vec(
             (0usize..6, 0.25f64..3.0, 1.0f64..120.0, 0usize..3, 0usize..3),
             1..12,
         )
     ) {
-        let dense = run(&ops, false);
-        let fast = run(&ops, true);
-        prop_assert_eq!(&dense, &fast, "fast path changed the decision stream");
+        let cold = run(&ops, false);
+        let persistent = run(&ops, true);
+        prop_assert_eq!(&cold, &persistent, "cache history changed the decision stream");
     }
 }
 
 /// Pinned scenario: a mixed accept/reject/fault stream whose exact
 /// decision bits are committed as a golden file, certified equal with
-/// the fast path on and off.
+/// the persistent cache and cold.
 #[test]
 fn pinned_decision_stream_matches_golden() {
     let ops: Vec<Op> = vec![
@@ -170,12 +169,12 @@ fn pinned_decision_stream_matches_golden() {
         (0, 1.5, 90.0, 0, 2),  // re-admit after restore
         (2, 9.5, 100.0, 0, 1), // oversized burst → reject
     ];
-    let dense = run(&ops, false);
-    let fast = run(&ops, true);
-    assert_eq!(dense, fast, "fast path changed the pinned stream");
+    let cold = run(&ops, false);
+    let persistent = run(&ops, true);
+    assert_eq!(cold, persistent, "cache history changed the pinned stream");
 
     let mut rendered = String::new();
-    for line in &fast {
+    for line in &persistent {
         rendered.push_str(line);
         rendered.push('\n');
     }

@@ -113,7 +113,6 @@ fn exporter_schemas_match_golden_file() {
     let (decision_lines, trace) = hetnet_obs::collect(1 << 14, || {
         let mut s = NetworkState::new(HetNetwork::paper_topology());
         s.set_decision_tracing(true);
-        s.set_fast_path(true).expect("empty state");
         let mut lines = Vec::new();
         // Admit, admit, deadline reject, bandwidth reject, unstable.
         for (sp, opts) in [

@@ -14,7 +14,7 @@
 //! SCHEDULER_GOLDEN_WRITE=1 cargo test -p hetnet-cac --test scheduler_golden
 //! ```
 //!
-//! Unlike the fast-path golden, this one also renders the decision
+//! Unlike the `fast_path.rs` golden, this one also renders the decision
 //! *trace* — the five eq.-7 stage terms, slack, binding constraint and
 //! allocation of every evaluated candidate — so a scheduler that
 //! perturbs an intermediate bound without flipping the decision still
@@ -128,7 +128,6 @@ fn run(ops: &[Op], fast: bool) -> Vec<String> {
     let mut s = NetworkState::new(net);
     s.set_decision_tracing(true);
     if fast {
-        s.set_fast_path(true).expect("empty state");
         s.persist_eval_cache(true);
     }
     let opts = AdmissionOptions::beta_search(CacConfig::fast());
@@ -173,7 +172,8 @@ fn run(ops: &[Op], fast: bool) -> Vec<String> {
 
 /// Pinned mixed accept/reject/fault stream whose decision bits *and*
 /// trace payloads are committed as a golden file. Certified equal with
-/// the fast path on and off before being compared against the golden.
+/// the persistent cache and cold before being compared against the
+/// golden.
 #[test]
 fn fifo_transcript_matches_pre_refactor_golden() {
     let ops: Vec<Op> = vec![

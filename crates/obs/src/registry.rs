@@ -2,11 +2,11 @@
 //!
 //! The thread-local trace collector answers "what happened inside this
 //! decision"; the registry answers "how is the whole run doing, right
-//! now, from any thread". Engines, evaluator caches, fast-path
-//! ladders, and every shard worker register named series once and then
-//! update them lock-free: counters and gauges are single atomics,
-//! histograms are [`AtomicHistogram`]s. The registry's mutex guards
-//! only registration and snapshotting — never the hot update path.
+//! now, from any thread". Engines, evaluator caches and every shard
+//! worker register named series once and then update them lock-free:
+//! counters and gauges are single atomics, histograms are
+//! [`AtomicHistogram`]s. The registry's mutex guards only registration
+//! and snapshotting — never the hot update path.
 //!
 //! ```
 //! use hetnet_obs::registry::MetricsRegistry;

@@ -50,7 +50,6 @@ use hetnet_cac::cac::{AdmissionOptions, Decision, EvalCacheCaps, NetworkState, R
 use hetnet_cac::connection::{ConnectionId, ConnectionSpec};
 use hetnet_cac::delay::CacheStats;
 use hetnet_cac::error::CacError;
-use hetnet_cac::incremental::FastPathStats;
 use hetnet_cac::network::{Component, HetNetwork, LinkId, RingId, Scheduler};
 use hetnet_cac::reconfig::ReconfigPlan;
 use hetnet_cac::shard::ShardedState;
@@ -89,11 +88,6 @@ pub struct ServiceConfig {
     /// Whether to carry the evaluator cache across decisions
     /// (admission-neutral; see the core crate's cache tests).
     pub persist_cache: bool,
-    /// Whether to run the incremental fast-path decision ladder ahead
-    /// of the dense evaluator (decision-neutral by construction; the
-    /// core crate's `fast_path` certification tests pin bit-identical
-    /// outcomes).
-    pub fast_path: bool,
     /// Whether the state emits a [`hetnet_cac::trace::DecisionTrace`]
     /// per decision, feeding the report's delay attribution. Admission-
     /// neutral; costs one trace allocation per decision.
@@ -135,7 +129,6 @@ impl ServiceConfig {
             options: AdmissionOptions::default(),
             sample_period: 16,
             persist_cache: true,
-            fast_path: true,
             trace_decisions: true,
             faults: None,
             readmit: true,
@@ -290,7 +283,6 @@ pub(crate) struct Request {
 pub(crate) struct Measured<'a> {
     pub(crate) latency: f64,
     pub(crate) cache: CacheStats,
-    pub(crate) fast: FastPathStats,
     pub(crate) trace: Option<&'a DecisionTrace>,
     pub(crate) spans: Option<Trace>,
     /// The worker shard the request was routed to: `None` for the
@@ -354,7 +346,6 @@ pub(crate) struct EventLoop {
     recovery: RecoveryMetrics,
     reconfig_metrics: ReconfigMetrics,
     cache: CacheGauges,
-    fast: FastPathGauges,
     attribution: DelayAttribution,
     pub(crate) registry: Arc<MetricsRegistry>,
     mx: EngineMetrics,
@@ -444,7 +435,6 @@ impl EventLoop {
         let mut state = NetworkState::new(network);
         state.set_cache_caps(caps);
         state.persist_eval_cache(cfg.persist_cache);
-        state.set_fast_path(cfg.fast_path)?;
         state.set_decision_tracing(cfg.trace_decisions);
         let mut options = cfg.options.clone();
         let registry = Arc::new(MetricsRegistry::new());
@@ -466,7 +456,6 @@ impl EventLoop {
             recovery: RecoveryMetrics::default(),
             reconfig_metrics: ReconfigMetrics::default(),
             cache: CacheGauges::default(),
-            fast: FastPathGauges::default(),
             attribution: DelayAttribution::default(),
             registry,
             mx,
@@ -829,7 +818,6 @@ impl EventLoop {
         m.spans = spans;
         let decided = state.state();
         m.cache = decided.last_cache_stats().unwrap_or_default();
-        m.fast = decided.last_fast_path_stats().unwrap_or_default();
         m.trace = decided.last_decision_trace();
         if let Some(shards) = &mut self.shards {
             shards.inline(m.cache);
@@ -839,9 +827,9 @@ impl EventLoop {
     }
 
     /// Records one decision already applied to `state`: latency, cache
-    /// and fast-path gauges, delay attribution, metrics, the flight
-    /// recorder, counters, the departure heap, the live map, the audit
-    /// log, and the utilization series.
+    /// gauges, delay attribution, metrics, the flight recorder,
+    /// counters, the departure heap, the live map, the audit log, and
+    /// the utilization series.
     pub(crate) fn record(
         &mut self,
         state: &ShardedState,
@@ -851,7 +839,6 @@ impl EventLoop {
     ) {
         self.latency.record(Seconds::new(m.latency));
         self.cache.absorb(m.cache);
-        self.fast.absorb(m.fast);
         if let Some(trace) = m.trace {
             self.attribution.absorb(trace);
         }
@@ -859,7 +846,7 @@ impl EventLoop {
             shards.closure(m.closure);
         }
         self.mx
-            .on_decision(decision.is_admitted(), m.latency, &m.cache, &m.fast);
+            .on_decision(decision.is_admitted(), m.latency, &m.cache);
         let outcome = AuditOutcome::from_decision(decision);
         let seq = state.state().decisions() - 1;
         let observation = FlightObservation {
@@ -942,7 +929,7 @@ impl EventLoop {
             counters,
             latency: LatencySummary::from_histogram(&self.latency),
             cache: self.cache,
-            fast_path: self.fast,
+            fast_path: FastPathGauges::default(),
             blocking_probability: counters.blocking_probability(),
             requests_per_sec: if wall_seconds > 0.0 {
                 counters.total() as f64 / wall_seconds
@@ -1292,15 +1279,6 @@ mod tests {
             classes.len() == 2 || run.state.active().len() < 2,
             "expected both classes in the admitted set, got {classes:?}"
         );
-        // Non-FIFO bounds come from the dense evaluator: no ladder
-        // probe ever ran, and the skips carry the dedicated cause.
-        let fp = &run.report.fast_path;
-        assert_eq!(fp.probes(), 0, "fast path must sit out non-FIFO runs");
-        let idx = hetnet_cac::incremental::SKIP_CAUSES
-            .iter()
-            .position(|&c| c == "non-fifo-scheduler")
-            .expect("cause registered");
-        assert!(fp.skip_causes[idx] > 0, "non-FIFO skip cause never fired");
     }
 
     #[test]
@@ -1425,28 +1403,6 @@ mod tests {
             }
         }
         assert_eq!(a.report.counters, b.report.counters);
-    }
-
-    #[test]
-    fn fast_path_is_decision_neutral_and_reports_probes() {
-        let mut on = faulted_cfg(120, 13);
-        on.fast_path = true;
-        let mut off = faulted_cfg(120, 13);
-        off.fast_path = false;
-        let a = run(HetNetwork::paper_topology(), &on).unwrap();
-        let b = run(HetNetwork::paper_topology(), &off).unwrap();
-        // Unlike the cache-persistence tolerance, the fast path must be
-        // *fully* decision-neutral: it substitutes probe booleans, not
-        // evaluation order, so even rejection details agree.
-        assert_eq!(a.audit.entries(), b.audit.entries());
-        assert_eq!(a.report.counters, b.report.counters);
-        let f = &a.report.fast_path;
-        assert!(f.probes() > 0, "ladder never ran: {f:?}");
-        assert!(
-            f.fast_accepts + f.fast_rejects > 0,
-            "ladder decided nothing: {f:?}"
-        );
-        assert_eq!(b.report.fast_path, FastPathGauges::default());
     }
 
     #[test]

@@ -206,63 +206,10 @@ impl CacheGauges {
     }
 }
 
-/// Fast-path decision-ladder gauges accumulated across every β-search
-/// probe of a run: how many probes the closed-form bounds decided
-/// outright versus how many fell back to the dense evaluator. All zero
-/// when the fast path is disabled (or every decision used a fixed
-/// allocation).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct FastPathGauges {
-    /// Probes decided "feasible" by the upper bound alone.
-    pub fast_accepts: u64,
-    /// Probes decided "infeasible" by a closed-form reject rung.
-    pub fast_rejects: u64,
-    /// Probes the ladder could not decide (dense evaluation ran).
-    pub fallbacks: u64,
-    /// `fallbacks` split by cause, indexed per
-    /// [`hetnet_cac::incremental::FALLBACK_CAUSES`].
-    pub fallback_causes: [u64; hetnet_cac::incremental::FALLBACK_CAUSES.len()],
-    /// Decisions that ran densely without a ladder context at all
-    /// (their probes appear in no other counter).
-    pub no_context: u64,
-    /// `no_context` split by cause, indexed per
-    /// [`hetnet_cac::incremental::SKIP_CAUSES`].
-    pub skip_causes: [u64; hetnet_cac::incremental::SKIP_CAUSES.len()],
-}
-
-impl FastPathGauges {
-    /// Adds one decision's fast-path stats.
-    pub fn absorb(&mut self, stats: FastPathStats) {
-        self.fast_accepts += stats.fast_accepts;
-        self.fast_rejects += stats.fast_rejects;
-        self.fallbacks += stats.fallbacks;
-        for (a, b) in self.fallback_causes.iter_mut().zip(&stats.fallback_causes) {
-            *a += b;
-        }
-        self.no_context += stats.no_context;
-        for (a, b) in self.skip_causes.iter_mut().zip(&stats.skip_causes) {
-            *a += b;
-        }
-    }
-
-    /// Total probes the ladder classified.
-    #[must_use]
-    pub fn probes(&self) -> u64 {
-        self.fast_accepts + self.fast_rejects + self.fallbacks
-    }
-
-    /// Fraction of probes decided without the dense evaluator, 0 when
-    /// no probes ran.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let probes = self.probes();
-        if probes == 0 {
-            0.0
-        } else {
-            (self.fast_accepts + self.fast_rejects) as f64 / probes as f64
-        }
-    }
-}
+/// Probe counters of the deleted decision ladder, summed over a run:
+/// always zero, and kept only for the benchmark's `incremental.*` rows
+/// until a benchmark change drops them.
+pub type FastPathGauges = FastPathStats;
 
 /// Rejection counters keyed by the *binding constraint* of the
 /// decision trace — the single check that failed — rather than the
@@ -638,7 +585,8 @@ mod tests {
             ..FastPathStats::default()
         };
         second.fallback_causes[6] = 1;
-        second.record_skip("stage1-unavailable");
+        second.no_context = 1;
+        second.skip_causes[0] = 1;
         g.absorb(second);
         assert_eq!(g.probes(), 12);
         assert!((g.hit_rate() - 9.0 / 12.0).abs() < 1e-12);
@@ -680,7 +628,6 @@ mod tests {
             )],
             binding: None,
             cache: CacheStats::default(),
-            fast_path: FastPathStats::default(),
         };
         let reject = DecisionTrace {
             seq: 1,
@@ -701,7 +648,6 @@ mod tests {
                 excess: Seconds::from_millis(34.0),
             }),
             cache: CacheStats::default(),
-            fast_path: FastPathStats::default(),
         };
         // A pre-allocation bandwidth reject carries no connections.
         let bare = DecisionTrace {
@@ -717,7 +663,6 @@ mod tests {
                 required: Seconds::from_millis(2.0),
             }),
             cache: CacheStats::default(),
-            fast_path: FastPathStats::default(),
         };
 
         let mut a = DelayAttribution::default();

@@ -10,7 +10,7 @@
 //! * [`EngineMetrics`] — the canonical `hetnet_*` metric families every
 //!   engine registers into one shared
 //!   [`MetricsRegistry`](hetnet_obs::MetricsRegistry), replacing the
-//!   old pattern of threading `CacheGauges` / `FastPathGauges` structs
+//!   old pattern of threading gauge structs
 //!   through each layer by hand. One registry snapshot — reachable
 //!   from any thread — now answers "how is this run doing".
 //! * [`TelemetryFrame`] + [`Telemetry`] — periodic OpenMetrics-text
@@ -26,7 +26,6 @@
 
 use hetnet_cac::delay::CacheStats;
 use hetnet_cac::error::CacError;
-use hetnet_cac::incremental::FastPathStats;
 use hetnet_obs::registry::{Counter, Gauge, Histogram};
 use hetnet_obs::{MetricsRegistry, SharedRing, Trace};
 use hetnet_traffic::units::Seconds;
@@ -91,10 +90,6 @@ pub(crate) struct EngineMetrics {
     latency: Histogram,
     stage_hits: [Counter; 4],
     stage_misses: [Counter; 4],
-    fast_accepts: Counter,
-    fast_rejects: Counter,
-    fast_fallbacks: Counter,
-    fast_skips: Counter,
     active: Gauge,
     outliers: Counter,
 }
@@ -118,13 +113,6 @@ impl EngineMetrics {
                 &[("stage", stage), ("result", result)],
             )
         };
-        let fast = |outcome| {
-            reg.counter(
-                "hetnet_fast_path_probes_total",
-                "Fast-path ladder probes, by outcome.",
-                &[("outcome", outcome)],
-            )
-        };
         Self {
             admitted: decisions("admit"),
             rejected: decisions("reject"),
@@ -135,10 +123,6 @@ impl EngineMetrics {
             ),
             stage_hits: CACHE_STAGES.map(|s| cache(s, "hit")),
             stage_misses: CACHE_STAGES.map(|s| cache(s, "miss")),
-            fast_accepts: fast("accept"),
-            fast_rejects: fast("reject"),
-            fast_fallbacks: fast("fallback"),
-            fast_skips: fast("skip"),
             active: reg.gauge(
                 "hetnet_active_connections",
                 "Connections currently admitted.",
@@ -153,13 +137,7 @@ impl EngineMetrics {
     }
 
     /// Folds one committed decision into the registry.
-    pub(crate) fn on_decision(
-        &self,
-        admitted: bool,
-        latency_seconds: f64,
-        cache: &CacheStats,
-        fast: &FastPathStats,
-    ) {
+    pub(crate) fn on_decision(&self, admitted: bool, latency_seconds: f64, cache: &CacheStats) {
         if admitted {
             self.admitted.inc();
         } else {
@@ -182,10 +160,6 @@ impl EngineMetrics {
             self.stage_hits[i].add(hits[i]);
             self.stage_misses[i].add(misses[i]);
         }
-        self.fast_accepts.add(fast.fast_accepts);
-        self.fast_rejects.add(fast.fast_rejects);
-        self.fast_fallbacks.add(fast.fallbacks);
-        self.fast_skips.add(fast.no_context);
     }
 
     pub(crate) fn set_active(&self, active: usize) {
@@ -347,24 +321,14 @@ mod tests {
             screen_hits: 3,
             ..CacheStats::default()
         };
-        let fast = FastPathStats {
-            fast_accepts: 1,
-            ..FastPathStats::default()
-        };
-        mx.on_decision(true, 1e-4, &cache, &fast);
-        mx.on_decision(
-            false,
-            2e-4,
-            &CacheStats::default(),
-            &FastPathStats::default(),
-        );
+        mx.on_decision(true, 1e-4, &cache);
+        mx.on_decision(false, 2e-4, &CacheStats::default());
         mx.set_active(5);
         let text = reg.to_openmetrics();
         assert!(text.contains("hetnet_decisions_total{outcome=\"admit\"} 1"));
         assert!(text.contains("hetnet_decisions_total{outcome=\"reject\"} 1"));
         assert!(text.contains("hetnet_cache_lookups_total{result=\"hit\",stage=\"stage1\"} 2"));
         assert!(text.contains("hetnet_cache_lookups_total{result=\"hit\",stage=\"screen\"} 3"));
-        assert!(text.contains("hetnet_fast_path_probes_total{outcome=\"accept\"} 1"));
         assert!(text.contains("hetnet_active_connections 5"));
         assert!(text.contains("hetnet_decision_latency_seconds_count 2"));
     }

@@ -113,8 +113,9 @@ pub struct ServiceReport {
     pub latency: LatencySummary,
     /// Evaluator-cache gauges accumulated over the run.
     pub cache: CacheGauges,
-    /// Fast-path decision-ladder gauges accumulated over the run
-    /// (all-zero when the fast path is disabled).
+    /// Probe counters of the deleted decision ladder: always zero, and
+    /// kept only for the benchmark's `incremental.*` rows until a
+    /// benchmark change drops them. Not rendered in the JSON report.
     pub fast_path: FastPathGauges,
     /// Fraction of requests rejected.
     pub blocking_probability: f64,
@@ -211,34 +212,6 @@ impl ServiceReport {
             push_cache_json(&mut out, g);
         }
         out.push_str("],");
-        let f = &self.fast_path;
-        let _ = write!(
-            out,
-            "\"fast_path\":{{\"fast_accepts\":{},\"fast_rejects\":{},\
-             \"fallbacks\":{},\"hit_rate\":{:.6},\"no_context\":{},",
-            f.fast_accepts,
-            f.fast_rejects,
-            f.fallbacks,
-            f.hit_rate(),
-            f.no_context,
-        );
-        out.push_str("\"fallback_causes\":{");
-        let causes = hetnet_cac::incremental::FALLBACK_CAUSES;
-        for (i, (name, n)) in causes.iter().zip(&f.fallback_causes).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{n}");
-        }
-        out.push_str("},\"skip_causes\":{");
-        let skips = hetnet_cac::incremental::SKIP_CAUSES;
-        for (i, (name, n)) in skips.iter().zip(&f.skip_causes).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{n}");
-        }
-        out.push_str("}},");
         let _ = write!(
             out,
             "\"peak_active\":{},\"final_active\":{},\"audit_len\":{},",
@@ -384,7 +357,6 @@ mod tests {
                 excess: Seconds::from_millis(34.0),
             }),
             cache: CacheStats::default(),
-            fast_path: hetnet_cac::incremental::FastPathStats::default(),
         });
         let report = ServiceReport {
             requests: 2,
@@ -404,19 +376,7 @@ mod tests {
                 screen_hits: 3,
                 screen_misses: 1,
             },
-            fast_path: {
-                let mut f = FastPathGauges {
-                    fast_accepts: 6,
-                    fast_rejects: 2,
-                    fallbacks: 2,
-                    no_context: 1,
-                    ..FastPathGauges::default()
-                };
-                f.fallback_causes[0] = 1;
-                f.fallback_causes[6] = 1;
-                f.skip_causes[2] = 1;
-                f
-            },
+            fast_path: FastPathGauges::default(),
             blocking_probability: 0.5,
             requests_per_sec: 1000.0,
             wall_seconds: 0.002,
@@ -476,11 +436,6 @@ mod tests {
             "\"screen_hits\":3,\"screen_misses\":1",
             "\"shard_cache\":[{\"stage1_hits\":1,\"stage1_misses\":1,",
             "\"flight_recorder\":{\"seen\":2,",
-            "\"fast_path\":{\"fast_accepts\":6,\"fast_rejects\":2,\"fallbacks\":2,\"hit_rate\":0.800000,\"no_context\":1,",
-            "\"fallback_causes\":{\"mux-saturated\":1,\"mux-horizon\":0,\"mux-window\":0,\
-             \"receive-saturated\":0,\"receive-horizon\":0,\"receive-buffer\":0,\"ambiguous\":1}",
-            "\"skip_causes\":{\"stage1-unavailable\":0,\"stale-active-set\":0,\"non-feedforward\":1,\
-             \"non-fifo-scheduler\":0}",
             "\"ring_utilization\":[{\"mean\":0.25",
             "\"topology\":\"3 rings x 4 hosts, 3 switches, 6 links\"",
             "\"delay_attribution\":{\"traced\":1,\"rejects_with_binding\":1,",

@@ -224,14 +224,12 @@ fn speculate(
             scoped.inject_eval_cache(carried);
         }
     }
-    scoped.set_fast_path(cfg.fast_path)?;
     scoped.set_decision_tracing(cfg.trace_decisions);
     scoped.set_clock(at);
     let (decision, spans) = with_spans(&cfg.obs, || scoped.admit(spec, &options))?;
     let measured = Measured {
         latency: t0.elapsed().as_secs_f64(),
         cache: scoped.last_cache_stats().unwrap_or_default(),
-        fast: scoped.last_fast_path_stats().unwrap_or_default(),
         spans,
         version: Some(footprint.version()),
         closure,

@@ -30,7 +30,6 @@ fn replay_bare(cfg: &ServiceConfig) -> (Vec<Decision>, Vec<ConnectionId>) {
     let envelope: SharedEnvelope = Arc::new(schedule.source);
     let mut state = NetworkState::new(HetNetwork::paper_topology());
     state.persist_eval_cache(cfg.persist_cache);
-    state.set_fast_path(cfg.fast_path).expect("empty state");
     let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut decisions = Vec::with_capacity(schedule.arrivals.len());
     for a in &schedule.arrivals {

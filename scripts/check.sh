@@ -75,6 +75,16 @@ lint() {
         fi
     done
     echo "ok: advance_to, readmit_parked and take_checkpoint are each defined once"
+
+    echo "==> one-probe-path gate (every beta-search probe is the dense evaluator's)"
+    # The closed-form decision ladder was ablated and deleted (DESIGN.md
+    # §11); a second probe path has to re-earn its place with a measured
+    # end-to-end win, not creep back in.
+    if grep -rnE "FastContext|fn set_fast_path\b|mod affine\b" --include="*.rs" crates/*/src; then
+        echo "FAIL: a second beta-search probe path was reintroduced"
+        exit 1
+    fi
+    echo "ok: no FastContext, set_fast_path or affine module under crates/*/src"
 }
 
 bench() {
